@@ -19,7 +19,7 @@ class T3FilteringBench extends SparkSpec {
       "purging must drop comparisons")
     assert(m("+wnp-metablocking").pc > 0.7, s"WNP PC ${m("+wnp-metablocking").pc}")
     // filtering prunes the candidate space and verification is a subset
-    assert(m("ppjoin-verified").candidates <= m("ppjoin-len+prefix").candidates)
+    assert(m("ppjoin-verified").candidates <= m("ppjoin-len+prefix+pos").candidates)
     // verified pairs are near-pure relative to raw blocking
     assert(m("ppjoin-verified").pq > m("soundex-block").pq,
       s"verified PQ ${m("ppjoin-verified").pq} vs block PQ ${m("soundex-block").pq}")

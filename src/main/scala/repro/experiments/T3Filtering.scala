@@ -11,7 +11,7 @@ import repro.metablocking.{BlockPurging, WeightedNodePruning}
 /** T3 — meta-blocking and filtering: how far can the comparison space be
   * pruned without losing matches. Progression:
   * soundex blocking → + block purging → + WNP meta-blocking (CBS weights
-  * over two blocking functions) → PPJoin length+prefix filtering →
+  * over two blocking functions) → PPJoin length+prefix+position filtering →
   * PPJoin verified (exact Jaccard ≥ t).
   */
 object T3Filtering {
@@ -79,7 +79,7 @@ object T3Filtering {
     arp.count(); brp.count()
     val rankMs = (System.nanoTime() - t0) / 1000000L
 
-    val ppCand = measure("ppjoin-len+prefix") {
+    val ppCand = measure("ppjoin-len+prefix+pos") {
       PPJoin.candidates(arp, brp, p.jaccardT)
     }
     val ppVerified = measure("ppjoin-verified") {

@@ -6,17 +6,23 @@ import org.apache.spark.sql.functions._
 import repro.core.BloomFilter
 
 /** PPJoin-style similarity-join filtering (Sehili et al., "PPRL with
-  * PPJoin") over integer token arrays. Tokens may be hashed q-grams or the
-  * set-bit positions of a Bloom filter ([[bfPositions]]) — both are just
-  * sets of ints to the filter.
+  * PPJoin"; Xiao et al., "Efficient Similarity Joins for Near Duplicate
+  * Detection", WWW 2008) over integer token sets. Tokens may be hashed
+  * q-grams or the set-bit positions of a Bloom filter ([[bfPositions]]) —
+  * both are just sets of ints to the filter.
   *
-  * Implemented filters for a Jaccard threshold t:
+  * Implemented filters for a Jaccard threshold t, which needs an overlap
+  * |x ∩ y| ≥ α = ⌈t/(1+t)·(|x| + |y|)⌉:
   *  - '''length filter''': |y| ∈ [t·|x|, |x|/t] is necessary for J ≥ t;
   *  - '''prefix filter''': with tokens globally ordered by ascending
   *    document frequency, two sets with J ≥ t must share a token within
-  *    each other's first |x| − ⌈t·|x|⌉ + 1 tokens.
-  * The position filter is intentionally omitted (DESIGN.md §6); achieved
-  * pruning is reported so the simplification stays visible.
+  *    each other's first |x| − ⌈t·|x|⌉ + 1 tokens;
+  *  - '''position filter''': at the first shared prefix token, found at
+  *    0-based positions i in x and j in y, no earlier token of either set
+  *    occurs in the other, so |x ∩ y| ≤ 1 + min(|x| − i − 1, |y| − j − 1),
+  *    which must reach α.
+  * Each pair is judged on the row of its first shared prefix token only,
+  * so [[candidates]] emits it at most once without a `distinct`.
   */
 object PPJoin {
 
@@ -29,64 +35,75 @@ object PPJoin {
     f(bf)
   }
 
-  /** Re-rank both parties' token arrays by ascending global document
+  /** Re-rank both parties' token sets by ascending global document
     * frequency (the PPJoin canonical order). Input: `(id, tokens:
-    * array<int>)` per party; output per party: `(id, toks: array<int>)`
-    * rank arrays sorted ascending, plus the shared token→rank map size.
+    * array<int>)` per party, where repeated tokens count once; output per
+    * party: `(id, toks: array<int>)` distinct ranks sorted ascending.
     */
   def rankTokens(a: DataFrame, b: DataFrame): (DataFrame, DataFrame) = {
-    val exploded = a.select(col("id"), explode(col("tokens")) as "tok")
-      .unionByName(b.select(col("id"), explode(col("tokens")) as "tok"))
-    val ranks = exploded.groupBy("tok").agg(count("*") as "df")
+    def tokenSets(df: DataFrame): DataFrame =
+      df.select(col("id"), explode(array_distinct(col("tokens"))) as "tok")
+    val ranks = tokenSets(a).unionByName(tokenSets(b))
+      .groupBy("tok").agg(count("*") as "df")
       .withColumn("rank", row_number().over(Window.orderBy(col("df"), col("tok"))))
       .select("tok", "rank")
     def rerank(df: DataFrame): DataFrame =
-      df.select(col("id"), explode(col("tokens")) as "tok")
-        .join(ranks, "tok")
+      tokenSets(df).join(ranks, "tok")
         .groupBy("id").agg(sort_array(collect_list(col("rank"))) as "toks")
     (rerank(a), rerank(b))
   }
 
+  // Integer bounds of real-valued thresholds, widened by ε so that
+  // floating-point error never makes a filter stricter than `verify`:
+  // 0.55 · 100 evaluates to 55.00000000000001, and its plain ceiling, 56,
+  // would drop a 55-token subset of a 100-token set at exactly J = 0.55.
+  private val Eps = 1e-9
+  private def ceilBound(v: Column): Column = ceil(v - lit(Eps)).cast("int")
+  private def floorBound(v: Column): Column = floor(v + lit(Eps)).cast("int")
+
   /** Prefix length |x| − ⌈t·|x|⌉ + 1 (≥ 1 for non-empty sets). */
   def prefixLen(size: Column, t: Double): Column =
-    greatest(lit(1), size - ceil(lit(t) * size).cast("int") + lit(1))
+    greatest(lit(1), size - ceilBound(lit(t) * size) + lit(1))
 
-  /** Candidate pairs under length + prefix filtering at Jaccard ≥ t.
-    * Inputs are `(id, toks)` rank arrays from [[rankTokens]].
+  /** Candidate pairs `(id_a, id_b)`, each at most once, under length,
+    * prefix and position filtering at Jaccard ≥ t. Inputs are `(id, toks)`
+    * rank arrays from [[rankTokens]].
     */
   def candidates(aRanked: DataFrame, bRanked: DataFrame, t: Double): DataFrame = {
     require(t > 0 && t <= 1, s"Jaccard threshold must be in (0,1], got $t")
     def prefixes(df: DataFrame, side: String): DataFrame =
       df.select(col("id") as s"id_$side", size(col("toks")) as s"len_$side",
-                explode(slice(col("toks"), lit(1),
-                  greatest(lit(1), size(col("toks"))
-                    - ceil(lit(t) * size(col("toks"))).cast("int") + lit(1)))) as "tok")
-    prefixes(aRanked, "a").join(prefixes(bRanked, "b"), "tok")
-      .where(col("len_b") >= ceil(lit(t) * col("len_a")) &&
-             col("len_b") <= floor(col("len_a") / lit(t)))
-      .select("id_a", "id_b").distinct()
+                col("toks") as s"toks_$side",
+                posexplode(slice(col("toks"), lit(1), prefixLen(size(col("toks")), t)))
+                  .as(Seq(s"pos_$side", "tok")))
+    val joined = prefixes(aRanked, "a").join(prefixes(bRanked, "b"), "tok")
+    val alpha = ceilBound(lit(t / (1 + t)) * (col("len_a") + col("len_b")))
+    val position = least(col("len_a") - col("pos_a"), col("len_b") - col("pos_b")) >= alpha
+    val firstShared = !arrays_overlap(slice(col("toks_a"), lit(1), col("pos_a")),
+                                      slice(col("toks_b"), lit(1), col("pos_b")))
+    lengthFilter(joined, "len_a", "len_b", t)
+      .where(position && firstShared)
+      .select("id_a", "id_b")
   }
 
-  /** Verified pairs: exact Jaccard over the rank arrays, filtered at t.
-    * Returns `(id_a, id_b, jaccard)`.
+  /** Verified pairs: exact Jaccard |x ∩ y| / (|x| + |y| − |x ∩ y|) over the
+    * non-empty rank sets of [[rankTokens]], filtered at t. Returns
+    * `(id_a, id_b, jaccard)`.
     */
   def verify(cands: DataFrame, aRanked: DataFrame, bRanked: DataFrame,
              t: Double): DataFrame = {
-    val jac = udf((x: Seq[Int], y: Seq[Int]) => {
-      val xs = x.toSet; val ys = y.toSet
-      val u = xs.union(ys).size
-      if (u == 0) 0.0 else xs.intersect(ys).size.toDouble / u
-    })
+    val inter = size(array_intersect(col("toks_a"), col("toks_b")))
+    val union = size(col("toks_a")) + size(col("toks_b")) - inter
     cands
       .join(aRanked.select(col("id") as "id_a", col("toks") as "toks_a"), "id_a")
       .join(bRanked.select(col("id") as "id_b", col("toks") as "toks_b"), "id_b")
-      .withColumn("jaccard", jac(col("toks_a"), col("toks_b")))
+      .withColumn("jaccard", inter / union)
       .where(col("jaccard") >= t)
       .select("id_a", "id_b", "jaccard")
   }
 
-  /** Standalone length filter over pre-joined pairs carrying set sizes. */
+  /** Length filter over pre-joined pairs carrying set sizes. */
   def lengthFilter(pairs: DataFrame, lenA: String, lenB: String, t: Double): DataFrame =
-    pairs.where(col(lenB) >= ceil(lit(t) * col(lenA)) &&
-                col(lenB) <= floor(col(lenA) / lit(t)))
+    pairs.where(col(lenB) >= ceilBound(lit(t) * col(lenA)) &&
+                col(lenB) <= floorBound(col(lenA) / lit(t)))
 }

@@ -33,7 +33,7 @@ class ExperimentsSmokeSpec extends SparkSpec {
     assert(rows.size == 5)
     val m = rows.map(r => r.method -> r).toMap
     assert(m("+purging").candidates <= m("soundex-block").candidates)
-    assert(m("ppjoin-verified").candidates <= m("ppjoin-len+prefix").candidates)
+    assert(m("ppjoin-verified").candidates <= m("ppjoin-len+prefix+pos").candidates)
     assert(rows.forall(r => r.pc >= 0 && r.pc <= 1))
     assert(T3Filtering.format(rows).nonEmpty)
   }

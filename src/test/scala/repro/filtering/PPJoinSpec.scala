@@ -1,5 +1,6 @@
 package repro.filtering
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.core.{BloomFilter, Encodings, Hashing, QGrams}
@@ -42,6 +43,17 @@ class PPJoinSpec extends SparkSpec {
     assert(br.head.getSeq[Int](1).size == 2)
   }
 
+  test("rankTokens counts a repeated token once") {
+    val a = tok(1L -> Seq(7, 7, 7, 8))
+    val b = tok(10L -> Seq(8, 9), 20L -> Seq(9))
+    val (ar, br) = PPJoin.rankTokens(a, b)
+    // document frequency 7→1, 8→2, 9→2: token 7 is the rarest, once
+    assert(ar.head.getSeq[Int](1) == Seq(1, 2))
+    val ver = PPJoin.verify(PPJoin.candidates(ar, br, 0.3), ar, br, 0.3).collect()
+    assert(ver.map(r => (r.getLong(0), r.getLong(1), r.getDouble(2))).toSeq ==
+      Seq((1L, 10L, 1.0 / 3)))
+  }
+
   test("prefixLen column formula") {
     // |x|-ceil(t|x|)+1: n=4 → 4-3+1=2; n=10 → 10-8+1=3
     val df = Seq(4, 10).toDF("n")
@@ -50,20 +62,85 @@ class PPJoinSpec extends SparkSpec {
     assert(vals.toSeq == Seq(2, 3))
   }
 
-  test("candidates retain all pairs above threshold (no false dismissals)") {
-    // random small universe; brute-force verify against candidates
-    val rnd = new scala.util.Random(7)
-    def randSet() = (0 until (5 + rnd.nextInt(10))).map(_ => rnd.nextInt(40)).distinct
-    val aSets = (1L to 30L).map(i => i -> randSet())
-    val bSets = (101L to 130L).map(i => i -> randSet())
-    val t = 0.5
-    val (ar, br) = PPJoin.rankTokens(tok(aSets: _*), tok(bSets: _*))
-    val cand = PPJoin.candidates(ar, br, t).collect()
-      .map(r => (r.getLong(0), r.getLong(1))).toSet
-    for ((ia, sa) <- aSets; (ib, sb) <- bSets) {
-      val j = sa.toSet.intersect(sb.toSet).size.toDouble / sa.toSet.union(sb.toSet).size
-      if (j >= t) assert(cand.contains((ia, ib)), s"missed pair $ia-$ib with jaccard $j")
+  /** Exact Jaccard ≥ t by brute force, in `verify`'s arithmetic. */
+  private def exactPairs(as: Seq[(Long, Seq[Int])], bs: Seq[(Long, Seq[Int])],
+                         t: Double): Set[(Long, Long)] =
+    (for {
+      (ia, sa) <- as; (ib, sb) <- bs
+      inter = sa.toSet.intersect(sb.toSet).size
+      if inter.toDouble / (sa.toSet.size + sb.toSet.size - inter) >= t
+    } yield (ia, ib)).toSet
+
+  /** Random sets over a small universe. Every other `b` set is an `a` set
+    * with a few tokens dropped or added, so every threshold up to 0.9 has
+    * qualifying pairs.
+    */
+  private def randomParties(seed: Int): (Seq[(Long, Seq[Int])], Seq[(Long, Seq[Int])]) = {
+    val rnd = new scala.util.Random(seed)
+    def randSet() = (0 until (5 + rnd.nextInt(16))).map(_ => rnd.nextInt(60)).distinct
+    val as = (1L to 40L).map(i => i -> randSet())
+    val bs = (101L to 140L).map { i =>
+      if (i % 2 == 0) i -> randSet()
+      else {
+        val base = as(rnd.nextInt(as.size))._2
+        val kept = base.filterNot(_ => rnd.nextDouble() < 0.15)
+        i -> (kept ++ Seq.fill(rnd.nextInt(3))(rnd.nextInt(60))).distinct
+      }
     }
+    (as, bs)
+  }
+
+  private val thresholds = Seq(0.3, 0.5, 0.55, 0.7, 0.8, 0.9)
+
+  private def pairsOf(df: DataFrame): Seq[(Long, Long)] =
+    df.select("id_a", "id_b").collect().toSeq.map(r => (r.getLong(0), r.getLong(1)))
+
+  test("candidates retain all pairs above threshold (no false dismissals)") {
+    val (aSets, bSets) = randomParties(7)
+    val (ar, br) = PPJoin.rankTokens(tok(aSets: _*), tok(bSets: _*))
+    for (t <- thresholds) {
+      val cand = pairsOf(PPJoin.candidates(ar, br, t)).toSet
+      val expected = exactPairs(aSets, bSets, t)
+      assert(expected.nonEmpty, s"no qualifying pair at t=$t")
+      val missed = expected -- cand
+      assert(missed.isEmpty, s"t=$t: missed pairs $missed")
+    }
+  }
+  test("candidates emit each pair at most once") {
+    val (aSets, bSets) = randomParties(11)
+    val (ar, br) = PPJoin.rankTokens(tok(aSets: _*), tok(bSets: _*))
+    for (t <- thresholds) {
+      val cand = PPJoin.candidates(ar, br, t)
+      assert(cand.count() == cand.distinct().count(), s"t=$t: repeated pairs")
+    }
+  }
+  test("pairs exactly at the threshold survive every integer bound") {
+    // In floating point 0.55·100 = 55.00000000000001, 55/0.55 = 99.99999999999999
+    // and 0.8/1.8·(35+28) = 28.000000000000004: plain ceil/floor would drop
+    // a subset y ⊂ x whose Jaccard equals t exactly, which verify accepts.
+    for ((nx, ny, t) <- Seq((100, 55, 0.55), (35, 28, 0.8))) {
+      for ((na, nb) <- Seq(nx -> ny, ny -> nx)) {
+        val (ar, br) = PPJoin.rankTokens(tok(1L -> (1 to na)), tok(10L -> (1 to nb)))
+        val cand = PPJoin.candidates(ar, br, t)
+        assert(pairsOf(cand) == Seq((1L, 10L)), s"|a|=$na |b|=$nb t=$t")
+        assert(pairsOf(PPJoin.verify(cand, ar, br, t)) == Seq((1L, 10L)))
+      }
+    }
+  }
+  test("position filter prunes a pair the length and prefix filters keep") {
+    // x and y (10 tokens each) share only token 6. Fillers in b make 7..10
+    // and 17..20 common, so 6 sits at position 5 in both rank orders:
+    // inside the prefix (10 − 5 + 1 = 6) but with at most min(10−5, 10−5) = 5
+    // shared tokens left, below α = ⌈0.5/1.5 · 20⌉ = 7.
+    val x = 1 to 10
+    val y = Seq(11, 12, 13, 14, 15, 6, 17, 18, 19, 20)
+    val filler = Seq(7, 8, 9, 10, 17, 18, 19, 20)
+    val (ar, br) = PPJoin.rankTokens(tok(1L -> x), tok(10L -> y, 20L -> filler, 30L -> filler))
+    val t = 0.5
+    val prefixA = ar.head.getSeq[Int](1).take(6).toSet
+    val prefixB = br.where(col("id") === 10L).head.getSeq[Int](1).take(6).toSet
+    assert(prefixA.intersect(prefixB).size == 1, "the pair shares a prefix token")
+    assert(!pairsOf(PPJoin.candidates(ar, br, t)).contains((1L, 10L)))
   }
   test("candidates prune pairs that cannot reach the threshold") {
     val a = tok(1L -> Seq(1, 2, 3, 4, 5, 6, 7, 8, 9, 10))
@@ -85,20 +162,12 @@ class PPJoinSpec extends SparkSpec {
     assert(!ver.contains((1L, 20L))) // jaccard 1/7 < 0.5
   }
   test("verified results equal brute force exactly") {
-    val rnd = new scala.util.Random(13)
-    def randSet() = (0 until (4 + rnd.nextInt(8))).map(_ => rnd.nextInt(30)).distinct
-    val aSets = (1L to 25L).map(i => i -> randSet())
-    val bSets = (101L to 125L).map(i => i -> randSet())
-    val t = 0.4
+    val (aSets, bSets) = randomParties(13)
     val (ar, br) = PPJoin.rankTokens(tok(aSets: _*), tok(bSets: _*))
-    val got = PPJoin.verify(PPJoin.candidates(ar, br, t), ar, br, t).collect()
-      .map(r => (r.getLong(0), r.getLong(1))).toSet
-    val expected = (for {
-      (ia, sa) <- aSets; (ib, sb) <- bSets
-      j = sa.toSet.intersect(sb.toSet).size.toDouble / sa.toSet.union(sb.toSet).size
-      if j >= t
-    } yield (ia, ib)).toSet
-    assert(got == expected)
+    for (t <- thresholds) {
+      val got = pairsOf(PPJoin.verify(PPJoin.candidates(ar, br, t), ar, br, t)).toSet
+      assert(got == exactPairs(aSets, bSets, t), s"t=$t")
+    }
   }
   test("threshold must be in (0,1]") {
     val (ar, br) = PPJoin.rankTokens(tok(1L -> Seq(1)), tok(2L -> Seq(1)))
@@ -152,5 +221,32 @@ class PPJoinSpec extends SparkSpec {
         |FROM inter JOIN ca ON ca.id = ia JOIN cb ON cb.id = ib
         |WHERE CAST(c AS DOUBLE) / (ca.n + cb.n - c) >= 0.3""".stripMargin,
       "a" -> aTok, "b" -> bTok)
+  }
+  test("oracle: candidates cover every DuckDB exact-Jaccard pair") {
+    val (aSets, bSets) = randomParties(29)
+    val t = 0.55
+    val (ar, br) = PPJoin.rankTokens(tok(aSets: _*), tok(bSets: _*))
+    val cand = PPJoin.candidates(ar, br, t)
+    def asStrings(df: DataFrame) =
+      df.select(col("id_a").cast("string") as "id_a", col("id_b").cast("string") as "id_b")
+    def tokTable(sets: Seq[(Long, Seq[Int])]) =
+      tok(sets: _*).select(col("id").cast("string") as "id",
+                           explode(col("tokens").cast("array<string>")) as "tok")
+    // DuckDB marks each exact pair with whether `candidates` kept it; Spark's
+    // verified pairs, all kept, must be exactly those pairs.
+    Oracle.assertEquivalent(
+      asStrings(PPJoin.verify(cand, ar, br, t)).withColumn("kept", lit(true)),
+      """WITH inter AS (
+        |  SELECT a.id ia, b.id ib, COUNT(*) c
+        |  FROM a JOIN b ON a.tok = b.tok GROUP BY a.id, b.id
+        |), na AS (SELECT id, COUNT(*) n FROM a GROUP BY id),
+        |   nb AS (SELECT id, COUNT(*) n FROM b GROUP BY id),
+        |exact AS (
+        |  SELECT ia, ib FROM inter JOIN na ON na.id = ia JOIN nb ON nb.id = ib
+        |  WHERE CAST(c AS DOUBLE) / (na.n + nb.n - c) >= CAST(0.55 AS DOUBLE)
+        |)
+        |SELECT ia AS id_a, ib AS id_b, cand.id_a IS NOT NULL AS kept
+        |FROM exact LEFT JOIN cand ON cand.id_a = ia AND cand.id_b = ib""".stripMargin,
+      "a" -> tokTable(aSets), "b" -> tokTable(bSets), "cand" -> asStrings(cand))
   }
 }
