@@ -56,17 +56,14 @@ object HammingLsh {
     Array.fill(tables)(rnd.shuffle(eligible).take(bitsPerTable).toArray)
   }
 
-  /** Candidate pairs using caller-supplied table positions (e.g. from
-    * [[samplePositionsEntropyAware]]).
+  /** Candidate pairs: records sharing a bucket in any of the Λ tables whose
+    * positions come from [[samplePositions]] or
+    * [[samplePositionsEntropyAware]].
     */
   def candidatesWithPositions(a: DataFrame, b: DataFrame, bfCol: String,
                               positions: Array[Array[Int]],
                               idCol: String = "rec_id"): DataFrame =
-    Candidates.canonical(
-      keys(a, bfCol, positions, idCol).withColumnRenamed("id", "id_a")
-        .join(keys(b, bfCol, positions, idCol).withColumnRenamed("id", "id_b"),
-              Seq("t", "key"))
-        .select("id_a", "id_b"))
+    Candidates.fromKeys(keys(a, bfCol, positions, idCol), keys(b, bfCol, positions, idCol))
 
   /** Column of `array<struct<t int, key bigint>>`: per table, the sampled
     * bits packed into a Long bucket key.
@@ -88,19 +85,7 @@ object HammingLsh {
   /** Per-record `(id, t, key)` bucket assignments, one row per table. */
   def keys(df: DataFrame, bfCol: String, positions: Array[Array[Int]],
            idCol: String = "rec_id"): DataFrame =
-    df.select(col(idCol).cast("long") as "id",
-              explode(bucketCol(col(bfCol), positions)) as "tk")
-      .select(col("id"), col("tk._1") as "t", col("tk._2") as "key")
-
-  /** Candidate pairs: records sharing a bucket in any of the Λ tables
-    * (uniform position sampling; see [[candidatesWithPositions]] for the
-    * entropy-aware variant).
-    */
-  def candidates(a: DataFrame, b: DataFrame, bfCol: String, l: Int,
-                 tables: Int = 40, bitsPerTable: Int = 20, seed: Long = 7L,
-                 idCol: String = "rec_id"): DataFrame =
-    candidatesWithPositions(a, b, bfCol,
-      samplePositions(l, tables, bitsPerTable, seed), idCol)
+    Candidates.bandKeys(df, idCol, bucketCol(col(bfCol), positions))
 
   /** Analytic collision probability 1 − (1 − s^β)^Λ for bit-agreement s —
     * the theoretical recall guarantee the tests validate empirically.

@@ -38,19 +38,14 @@ object MinHashLsh {
   /** Per-record `(id, t, key)` band-bucket assignments. */
   def keys(df: DataFrame, tokensCol: String, secret: String, bands: Int,
            rows: Int, idCol: String = "rec_id"): DataFrame =
-    df.select(col(idCol).cast("long") as "id",
-              explode(bucketCol(col(tokensCol), secret, bands, rows)) as "tk")
-      .select(col("id"), col("tk._1") as "t", col("tk._2") as "key")
+    Candidates.bandKeys(df, idCol, bucketCol(col(tokensCol), secret, bands, rows))
 
   /** Candidate pairs: records sharing any band bucket. */
   def candidates(a: DataFrame, b: DataFrame, tokensCol: String,
                  secret: String = "s3cret", bands: Int = 30, rows: Int = 3,
                  idCol: String = "rec_id"): DataFrame =
-    Candidates.canonical(
-      keys(a, tokensCol, secret, bands, rows, idCol).withColumnRenamed("id", "id_a")
-        .join(keys(b, tokensCol, secret, bands, rows, idCol).withColumnRenamed("id", "id_b"),
-              Seq("t", "key"))
-        .select("id_a", "id_b"))
+    Candidates.fromKeys(keys(a, tokensCol, secret, bands, rows, idCol),
+                        keys(b, tokensCol, secret, bands, rows, idCol))
 
   /** Analytic collision probability 1 − (1 − j^rows)^bands for Jaccard j. */
   def collisionProbability(jaccard: Double, bands: Int, rows: Int): Double =

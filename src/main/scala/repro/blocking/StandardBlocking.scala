@@ -19,10 +19,7 @@ object StandardBlocking {
   /** Candidate pairs: records of the two parties sharing a block key. */
   def candidates(a: DataFrame, b: DataFrame, keyCol: String,
                  idCol: String = "rec_id"): DataFrame =
-    Candidates.canonical(
-      keys(a, keyCol, idCol).withColumnRenamed("id", "id_a")
-        .join(keys(b, keyCol, idCol).withColumnRenamed("id", "id_b"), "key")
-        .select("id_a", "id_b"))
+    Candidates.fromKeys(keys(a, keyCol, idCol), keys(b, keyCol, idCol))
 
   /** Block-size profile `(key, n_a, n_b, comparisons)` — input to purging. */
   def blockSizes(a: DataFrame, b: DataFrame, keyCol: String,

@@ -9,7 +9,7 @@ package repro.core
   * without the secret cannot recompute bit positions for dictionary values.
   *
   * All set operations here are the reference semantics that the Catalyst
-  * expressions in [[SimilarityExpressions]] must agree with (tests diff the
+  * expression in [[SimilarityExpressions]] must agree with (tests diff the
   * two implementations).
   */
 object BloomFilter {
@@ -75,20 +75,6 @@ object BloomFilter {
     c
   }
 
-  /** Bitwise AND of p >= 1 filters (multi-party common-bits count). */
-  def andAll(bfs: Seq[Array[Byte]]): Array[Byte] = {
-    require(bfs.nonEmpty, "andAll of zero filters")
-    val out = bfs.head.clone()
-    var p = 1
-    while (p < bfs.size) {
-      val b = bfs(p); require(b.length == out.length, "filter lengths differ")
-      var i = 0
-      while (i < out.length) { out(i) = (out(i) & b(i)).toByte; i += 1 }
-      p += 1
-    }
-    out
-  }
-
   /** Dice coefficient 2c / (|a|+|b|); 0 when both filters are empty. */
   def dice(a: Array[Byte], b: Array[Byte]): Double = {
     require(a.length == b.length, s"filter lengths differ: ${a.length} vs ${b.length}")
@@ -109,14 +95,6 @@ object BloomFilter {
     var c = 0; var i = 0
     while (i < a.length) { c += java.lang.Integer.bitCount((a(i) ^ b(i)) & 0xff); i += 1 }
     c
-  }
-
-  /** Multi-party Dice: p·|AND| / Σ|b_i| over p >= 2 filters. */
-  def multiDice(bfs: Seq[Array[Byte]]): Double = {
-    require(bfs.size >= 2, s"multiDice needs >= 2 filters, got ${bfs.size}")
-    val denom = bfs.map(popcount).sum
-    if (denom == 0) 0.0
-    else bfs.size.toDouble * popcount(andAll(bfs)) / denom
   }
 
   /** Sorted positions of set bits — the "token set" view used by the

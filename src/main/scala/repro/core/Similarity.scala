@@ -3,12 +3,9 @@ package repro.core
 import org.apache.spark.sql.Column
 import org.apache.spark.sql.functions._
 
-/** Plaintext and multi-party similarity measures as DataFrame columns.
-  *
-  * The plaintext token measures are the *unencoded upper bound* every
-  * encoding in T1 is scored against; `multiDice` is the p-filter Dice used
-  * by multi-party linkage (T4). Pairwise Bloom-filter measures live in
-  * [[SimilarityExpressions]] as Catalyst expressions.
+/** Plaintext similarity as a DataFrame column: the *unencoded upper bound*
+  * every encoding in T1 is scored against. Bloom-filter Dice lives in
+  * [[SimilarityExpressions]] as a Catalyst expression.
   */
 object Similarity {
 
@@ -18,26 +15,5 @@ object Similarity {
       QGrams.jaccard(Option(x).getOrElse(Seq.empty).toSet,
                      Option(y).getOrElse(Seq.empty).toSet))
     f(a, b)
-  }
-
-  /** Dice of two token arrays (plaintext q-grams). */
-  def tokenDice(a: Column, b: Column): Column = {
-    val f = udf((x: Seq[String], y: Seq[String]) =>
-      QGrams.dice(Option(x).getOrElse(Seq.empty).toSet,
-                  Option(y).getOrElse(Seq.empty).toSet))
-    f(a, b)
-  }
-
-  /** Normalized Levenshtein similarity 1 - dist/max(len) of two strings. */
-  def editSim(a: Column, b: Column): Column = {
-    val len = greatest(length(a), length(b))
-    when(len === 0, lit(1.0))
-      .otherwise(lit(1.0) - levenshtein(a, b).cast("double") / len.cast("double"))
-  }
-
-  /** Multi-party Dice p·|AND bfs| / Σ|bf_i| over an `array<binary>`. */
-  def multiDice(bfs: Column): Column = {
-    val f = udf((xs: Seq[Array[Byte]]) => BloomFilter.multiDice(xs))
-    f(bfs)
   }
 }

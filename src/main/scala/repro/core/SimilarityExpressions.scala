@@ -1,34 +1,20 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, ReproColumnBridge, SparkSession}
-import org.apache.spark.sql.catalyst.expressions.{BinaryExpression, Expression, UnaryExpression}
+import org.apache.spark.sql.{Column, ReproColumnBridge}
+import org.apache.spark.sql.catalyst.expressions.{BinaryExpression, Expression}
 import org.apache.spark.sql.catalyst.expressions.codegen.CodegenFallback
-import org.apache.spark.sql.types.{DataType, DoubleType, IntegerType}
+import org.apache.spark.sql.types.{DataType, DoubleType}
 
-/** Bloom-filter similarity measures as Catalyst expressions over
-  * `BinaryType` columns (layering: the "new expression" extension point —
-  * DESIGN.md §3). Each expression delegates to the reference kernel in
-  * [[BloomFilter]], so the relational layer and the pure kernel cannot
-  * drift apart; tests additionally diff them pairwise.
+/** Bloom-filter Dice as a Catalyst expression over `BinaryType` columns
+  * (layering: the "new expression" extension point — DESIGN.md §3). The
+  * expression delegates to the reference kernel in [[BloomFilter]], so the
+  * relational layer and the pure kernel cannot drift apart; tests
+  * additionally diff them pairwise.
   *
-  * `SimilarityExpressions.register(spark)` installs them in the session's
-  * `FunctionRegistry`, after which they are callable from SQL
-  * (`SELECT dice_sim(bf_a, bf_b) ...`) and via the typed [[Column]]
-  * helpers below. Inputs must be `BinaryType` Bloom filters of equal
-  * length; the kernel rejects mismatched lengths at evaluation time.
+  * Inputs must be `BinaryType` Bloom filters of equal length; the kernel
+  * rejects mismatched lengths at evaluation time.
   */
 object SimilarityExpressions {
-
-  /** Number of set bits in a Bloom filter. */
-  case class BitCount(child: Expression)
-      extends UnaryExpression with CodegenFallback {
-    override def dataType: DataType = IntegerType
-    override def prettyName: String = "bit_count_bf"
-    protected override def nullSafeEval(v: Any): Any =
-      BloomFilter.popcount(v.asInstanceOf[Array[Byte]])
-    protected override def withNewChildInternal(newChild: Expression): Expression =
-      copy(child = newChild)
-  }
 
   /** Dice coefficient 2·|a∧b| / (|a|+|b|) of two equal-length filters. */
   case class DiceSim(left: Expression, right: Expression)
@@ -41,42 +27,8 @@ object SimilarityExpressions {
       copy(left = l, right = r)
   }
 
-  /** Jaccard coefficient |a∧b| / |a∨b| of two equal-length filters. */
-  case class JaccardSim(left: Expression, right: Expression)
-      extends BinaryExpression with CodegenFallback {
-    override def dataType: DataType = DoubleType
-    override def prettyName: String = "jaccard_sim"
-    protected override def nullSafeEval(a: Any, b: Any): Any =
-      BloomFilter.jaccard(a.asInstanceOf[Array[Byte]], b.asInstanceOf[Array[Byte]])
-    protected override def withNewChildrenInternal(l: Expression, r: Expression): Expression =
-      copy(left = l, right = r)
-  }
-
-  /** Hamming distance (count of differing bit positions). */
-  case class HammingDist(left: Expression, right: Expression)
-      extends BinaryExpression with CodegenFallback {
-    override def dataType: DataType = IntegerType
-    override def prettyName: String = "hamming_dist"
-    protected override def nullSafeEval(a: Any, b: Any): Any =
-      BloomFilter.hamming(a.asInstanceOf[Array[Byte]], b.asInstanceOf[Array[Byte]])
-    protected override def withNewChildrenInternal(l: Expression, r: Expression): Expression =
-      copy(left = l, right = r)
-  }
-
-  /** Install all expressions as temp functions in `spark`'s registry. */
-  def register(spark: SparkSession): Unit = {
-    val reg = spark.sessionState.functionRegistry
-    reg.createOrReplaceTempFunction("bit_count_bf", es => BitCount(es.head), "built-in")
-    reg.createOrReplaceTempFunction("dice_sim", es => DiceSim(es(0), es(1)), "built-in")
-    reg.createOrReplaceTempFunction("jaccard_sim", es => JaccardSim(es(0), es(1)), "built-in")
-    reg.createOrReplaceTempFunction("hamming_dist", es => HammingDist(es(0), es(1)), "built-in")
-  }
-
   private def expr(c: Column): Expression = ReproColumnBridge.expression(c)
 
-  // Typed Column helpers (usable without SQL registration).
-  def bitCount(c: Column): Column = ReproColumnBridge.column(BitCount(expr(c)))
+  /** `dice_sim` as a typed Column. */
   def diceSim(a: Column, b: Column): Column = ReproColumnBridge.column(DiceSim(expr(a), expr(b)))
-  def jaccardSim(a: Column, b: Column): Column = ReproColumnBridge.column(JaccardSim(expr(a), expr(b)))
-  def hammingDist(a: Column, b: Column): Column = ReproColumnBridge.column(HammingDist(expr(a), expr(b)))
 }

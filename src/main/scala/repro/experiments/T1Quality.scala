@@ -1,8 +1,8 @@
 package repro.experiments
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.core.Encodings
+import repro.core.{Encodings, Similarity, SimilarityExpressions}
 import repro.data.PersonGen
 import repro.matching.{Classifier, Scoring}
 
@@ -50,8 +50,8 @@ object T1Quality {
       // plaintext upper bound
       val ta = Encodings.withTokens(a, fields)
       val tb = Encodings.withTokens(b, fields)
-      val plain = timedBest("plain-qgram",
-        Scoring.withTokenJaccard(cands, ta, tb))
+      val plain = timedBest("plain-qgram", Scoring.score(cands, ta, tb, Seq("tokens"),
+        (x, y) => Similarity.tokenJaccard(x.head, y.head)))
 
       // CLK (k ≈ l·ln2 / ~45 tokens for ~50% fill)
       val ca = Encodings.withClk(a, fields, k = 16, secret = secret)
@@ -63,19 +63,25 @@ object T1Quality {
         fields.foldLeft(df)((d, fld) =>
           Encodings.withFieldBf(d, fld, secret = secret, out = s"bf_$fld"))
       val fb = timedBest("field-bf-dice",
-        Scoring.withMeanFieldDice(cands, fbf(a), fbf(b), fields.map(f => s"bf_$f")))
+        Scoring.score(cands, fbf(a), fbf(b), fields.map(f => s"bf_$f"), (x, y) =>
+          x.zip(y).map { case (u, v) => SimilarityExpressions.diceSim(u, v) }
+            .reduce(_ + _) / lit(fields.size.toDouble)))
+
+      // exact agreement on a derived key as a 0/1 similarity
+      def keyEquality(x: Seq[Column], y: Seq[Column]): Column =
+        when(x.head === y.head, 1.0).otherwise(0.0)
 
       // SLK-581 (exact agreement on the derived key)
       val sa = Encodings.withSlk581(a, secret = secret)
       val sb = Encodings.withSlk581(b, secret = secret)
       val slk = timedBest("slk-581",
-        Scoring.withKeyEquality(cands, sa, sb, "slk"), Seq(1.0))
+        Scoring.score(cands, sa, sb, Seq("slk"), keyEquality), Seq(1.0))
 
       // HMAC exact key over name fields + dob
       val ha = Encodings.withHmacKey(a, Seq("fname", "lname", "dob"), secret)
       val hb = Encodings.withHmacKey(b, Seq("fname", "lname", "dob"), secret)
       val exact = timedBest("hmac-exact",
-        Scoring.withKeyEquality(cands, ha, hb, "hkey"), Seq(1.0))
+        Scoring.score(cands, ha, hb, Seq("hkey"), keyEquality), Seq(1.0))
 
       cands.unpersist(); truth.unpersist(); a.unpersist(); b.unpersist()
       Seq(exact, slk, fb, clk, plain)

@@ -57,7 +57,8 @@ object T2Blocking {
       StandardBlocking.candidates(a, b, "bkey")
     }
     val hlsh = measure("hamming-lsh") {
-      HammingLsh.candidates(a, b, "bf", p.l, p.lshTables, p.lshBits, p.seed)
+      HammingLsh.candidatesWithPositions(a, b, "bf",
+        HammingLsh.samplePositions(p.l, p.lshTables, p.lshBits, p.seed))
     }
     val mlsh = measure("minhash-lsh") {
       MinHashLsh.candidates(a, b, "tokens", p.secret, p.bands, p.rows)

@@ -63,8 +63,7 @@ object T3Filtering {
       val bad1 = BlockPurging.purgedKeys(a, b, "bkey1", p.purgeMaxComparisons)
       val bad2 = BlockPurging.purgedKeys(a, b, "bkey2", p.purgeMaxComparisons)
       def keysOf(df: DataFrame): DataFrame =
-        StandardBlocking.keys(df, "bkey1").join(bad1, Seq("key"), "left_anti")
-          .unionByName(StandardBlocking.keys(df, "bkey2").join(bad2, Seq("key"), "left_anti"))
+        BlockPurging.keys(df, "bkey1", bad1).unionByName(BlockPurging.keys(df, "bkey2", bad2))
       WeightedNodePruning.candidates(keysOf(a), keysOf(b))
     }
 

@@ -14,10 +14,6 @@ import repro.blocking.Candidates
   */
 object Classifier {
 
-  /** Pairs with sim ≥ t, in canonical pair form. */
-  def thresholdMatches(scored: DataFrame, t: Double): DataFrame =
-    Candidates.canonical(scored.where(col("sim") >= t).select("id_a", "id_b"))
-
   /** Precision / recall / F1 of `matches` against `truth` (pair form). */
   def prf(matches: DataFrame, truth: DataFrame): (Double, Double, Double) = {
     val m = Candidates.canonical(matches)

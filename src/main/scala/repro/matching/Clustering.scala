@@ -16,7 +16,8 @@ import org.apache.spark.sql.functions._
 object Clustering {
 
   /** Components of the undirected graph given by `edges (id_a, id_b)`.
-    * Returns `(id, comp)` for every vertex that appears in an edge.
+    * Returns `(id, comp)` for every vertex that appears in an edge. Throws
+    * if labels still change after `maxIter` rounds.
     */
   def connectedComponents(edges: DataFrame, maxIter: Int = 20): DataFrame = {
     val spark = edges.sparkSession
@@ -49,6 +50,9 @@ object Clustering {
       comp = next
       iter += 1
     }
+    if (changed > 0)
+      throw new IllegalStateException(s"connected components did not converge within " +
+        s"maxIter=$maxIter rounds: $changed labels changed in the last round")
     comp
   }
 

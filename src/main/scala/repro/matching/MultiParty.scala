@@ -24,13 +24,13 @@ object MultiParty {
                     tables: Int, bitsPerTable: Int, threshold: Double,
                     seed: Long = 7L): (DataFrame, Long) = {
     require(parties.size >= 2, "multi-party linkage needs >= 2 parties")
+    val positions = HammingLsh.samplePositions(l, tables, bitsPerTable, seed)
     var comparisons = 0L
     val edges = (for {
       i <- parties.indices
       j <- parties.indices if i < j
     } yield {
-      val cands = HammingLsh.candidates(parties(i), parties(j), bfCol, l,
-                                        tables, bitsPerTable, seed)
+      val cands = HammingLsh.candidatesWithPositions(parties(i), parties(j), bfCol, positions)
       comparisons += cands.count()
       Scoring.withDice(cands, parties(i), parties(j), bfCol)
         .where(col("sim") >= threshold)

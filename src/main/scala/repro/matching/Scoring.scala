@@ -1,8 +1,8 @@
 package repro.matching
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
-import repro.core.{Similarity, SimilarityExpressions}
+import repro.core.SimilarityExpressions
 
 /** Turns candidate pairs into scored pairs `(id_a, id_b, sim)` by joining
   * the parties' encoded columns back onto the pair list — the "similarity
@@ -10,52 +10,23 @@ import repro.core.{Similarity, SimilarityExpressions}
   */
 object Scoring {
 
-  private def side(df: DataFrame, idCol: String, encCol: String, side: String): DataFrame =
-    df.select(col(idCol).cast("long") as s"id_$side", col(encCol) as s"${encCol}_$side")
+  /** Score `cands` with one join per side, each carrying all of `cols`.
+    * `sim` receives the a-side and the b-side columns, both in `cols` order.
+    */
+  def score(cands: DataFrame, a: DataFrame, b: DataFrame, cols: Seq[String],
+            sim: (Seq[Column], Seq[Column]) => Column,
+            idCol: String = "rec_id"): DataFrame = {
+    def side(df: DataFrame, s: String): DataFrame =
+      df.select((col(idCol).cast("long") as s"id_$s") +: cols.map(c => col(c) as s"${c}_$s"): _*)
+    cands.join(side(a, "a"), "id_a")
+      .join(side(b, "b"), "id_b")
+      .select(col("id_a"), col("id_b"),
+              sim(cols.map(c => col(s"${c}_a")), cols.map(c => col(s"${c}_b"))) as "sim")
+  }
 
   /** Dice over Bloom-filter columns (Catalyst expression `dice_sim`). */
   def withDice(cands: DataFrame, a: DataFrame, b: DataFrame,
                bfCol: String = "bf", idCol: String = "rec_id"): DataFrame =
-    cands.join(side(a, idCol, bfCol, "a"), "id_a")
-      .join(side(b, idCol, bfCol, "b"), "id_b")
-      .select(col("id_a"), col("id_b"),
-              SimilarityExpressions.diceSim(col(s"${bfCol}_a"), col(s"${bfCol}_b")) as "sim")
-
-  /** Jaccard over Bloom-filter columns. */
-  def withBfJaccard(cands: DataFrame, a: DataFrame, b: DataFrame,
-                    bfCol: String = "bf", idCol: String = "rec_id"): DataFrame =
-    cands.join(side(a, idCol, bfCol, "a"), "id_a")
-      .join(side(b, idCol, bfCol, "b"), "id_b")
-      .select(col("id_a"), col("id_b"),
-              SimilarityExpressions.jaccardSim(col(s"${bfCol}_a"), col(s"${bfCol}_b")) as "sim")
-
-  /** Plaintext q-gram Jaccard over token-array columns (upper bound). */
-  def withTokenJaccard(cands: DataFrame, a: DataFrame, b: DataFrame,
-                       tokensCol: String = "tokens", idCol: String = "rec_id"): DataFrame =
-    cands.join(side(a, idCol, tokensCol, "a"), "id_a")
-      .join(side(b, idCol, tokensCol, "b"), "id_b")
-      .select(col("id_a"), col("id_b"),
-              Similarity.tokenJaccard(col(s"${tokensCol}_a"), col(s"${tokensCol}_b")) as "sim")
-
-  /** Mean of Dice similarities over several field-level BF columns. */
-  def withMeanFieldDice(cands: DataFrame, a: DataFrame, b: DataFrame,
-                        bfCols: Seq[String], idCol: String = "rec_id"): DataFrame = {
-    require(bfCols.nonEmpty, "need at least one field BF column")
-    var j = cands
-    for (c <- bfCols) {
-      j = j.join(side(a, idCol, c, "a"), "id_a").join(side(b, idCol, c, "b"), "id_b")
-    }
-    val sims = bfCols.map(c =>
-      SimilarityExpressions.diceSim(col(s"${c}_a"), col(s"${c}_b")))
-    val mean = sims.reduce(_ + _) / lit(bfCols.size.toDouble)
-    j.select(col("id_a"), col("id_b"), mean as "sim")
-  }
-
-  /** Exact-key agreement as a 0/1 similarity (HMAC / SLK linkage). */
-  def withKeyEquality(cands: DataFrame, a: DataFrame, b: DataFrame,
-                      keyCol: String, idCol: String = "rec_id"): DataFrame =
-    cands.join(side(a, idCol, keyCol, "a"), "id_a")
-      .join(side(b, idCol, keyCol, "b"), "id_b")
-      .select(col("id_a"), col("id_b"),
-              when(col(s"${keyCol}_a") === col(s"${keyCol}_b"), 1.0).otherwise(0.0) as "sim")
+    score(cands, a, b, Seq(bfCol),
+          (x, y) => SimilarityExpressions.diceSim(x.head, y.head), idCol)
 }

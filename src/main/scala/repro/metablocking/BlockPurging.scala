@@ -20,14 +20,15 @@ object BlockPurging {
       .where(col("comparisons") > maxComparisons)
       .select("key")
 
+  /** Standard-blocking keys `(id, key)` of `df` outside the `purged` keys. */
+  def keys(df: DataFrame, keyCol: String, purged: DataFrame,
+           idCol: String = "rec_id"): DataFrame =
+    StandardBlocking.keys(df, keyCol, idCol).join(purged, Seq("key"), "left_anti")
+
   /** Standard-blocking candidates with oversized blocks removed. */
   def candidates(a: DataFrame, b: DataFrame, keyCol: String,
                  maxComparisons: Long, idCol: String = "rec_id"): DataFrame = {
     val bad = purgedKeys(a, b, keyCol, maxComparisons, idCol)
-    val ka = StandardBlocking.keys(a, keyCol, idCol)
-      .join(bad, Seq("key"), "left_anti").withColumnRenamed("id", "id_a")
-    val kb = StandardBlocking.keys(b, keyCol, idCol)
-      .join(bad, Seq("key"), "left_anti").withColumnRenamed("id", "id_b")
-    Candidates.canonical(ka.join(kb, "key").select("id_a", "id_b"))
+    Candidates.fromKeys(keys(a, keyCol, bad, idCol), keys(b, keyCol, bad, idCol))
   }
 }

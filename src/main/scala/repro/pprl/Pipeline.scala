@@ -7,7 +7,7 @@ import repro.core.Encodings
 import repro.matching.{Classifier, Scoring}
 
 /** End-to-end two-party PPRL pipeline: CLK encode → Hamming-LSH block →
-  * Dice score → threshold classify → (optional) greedy one-to-one. Every
+  * Dice score → threshold classify → greedy one-to-one. Every
   * inter-party artifact is an encoded column; per-stage wall times are
   * captured by forcing each stage with an action.
   */
@@ -30,7 +30,6 @@ object Pipeline {
       lshTables: Int = 40,
       lshBits: Int = 24,
       threshold: Double = 0.9,
-      oneToOne: Boolean = true,
       seed: Long = 7L)
 
   /** Outcome: the matched pairs plus the numbers every experiment reports. */
@@ -83,10 +82,9 @@ object Pipeline {
     }
 
     val (matches, nMatches) = timed(timings, "classify") {
-      val aboveT = scored.where(col("sim") >= cfg.threshold)
-      val m = if (cfg.oneToOne) Classifier.greedyOneToOne(aboveT) else aboveT
-      val mm = m.select("id_a", "id_b").persist()
-      (mm, mm.count())
+      val m = Classifier.greedyOneToOne(scored.where(col("sim") >= cfg.threshold))
+        .select("id_a", "id_b").persist()
+      (m, m.count())
     }
 
     cands.unpersist(); scored.unpersist(); ea.unpersist(); eb.unpersist()

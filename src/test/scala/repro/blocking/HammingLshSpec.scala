@@ -1,7 +1,8 @@
 package repro.blocking
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.SparkSpec
+import repro.{Oracle, SparkSpec}
 import repro.core.Encodings
 import repro.data.PersonGen
 
@@ -11,6 +12,10 @@ class HammingLshSpec extends SparkSpec {
   private def encoded(party: Int, n: Int, corr: Double = 0.0) =
     Encodings.withClk(PersonGen.database(spark, party, 0, n, corr, seed = 31L),
                       Seq("fname", "lname"), l = L, k = 20, secret = "lsh")
+
+  /** Candidates over uniformly sampled positions (seed 7). */
+  private def uniform(a: DataFrame, b: DataFrame, tables: Int, bits: Int) =
+    HammingLsh.candidatesWithPositions(a, b, "bf", HammingLsh.samplePositions(L, tables, bits, 7L))
 
   test("samplePositions deterministic in seed") {
     val a = HammingLsh.samplePositions(128, 5, 10, 3L)
@@ -42,21 +47,21 @@ class HammingLshSpec extends SparkSpec {
   test("identical records collide in every table") {
     val a = encoded(1, 30)
     val b = encoded(2, 30) // same entities, clean → identical filters
-    val cand = HammingLsh.candidates(a, b, "bf", L, tables = 5, bitsPerTable = 12)
+    val cand = uniform(a, b, tables = 5, bits = 12)
     val truth = PersonGen.truthPairs(a, b)
     assert(Candidates.pairsCompleteness(cand, truth) == 1.0)
   }
   test("corrupted matches are still mostly found (LSH recall)") {
     val a = encoded(1, 400)
     val b = encoded(2, 400, corr = 0.5)
-    val cand = HammingLsh.candidates(a, b, "bf", L, tables = 30, bitsPerTable = 16)
+    val cand = uniform(a, b, tables = 30, bits = 16)
     val pc = Candidates.pairsCompleteness(cand, PersonGen.truthPairs(a, b))
     assert(pc > 0.9, s"PC=$pc")
   }
   test("candidates prune the cross product") {
     val a = encoded(1, 400)
     val b = encoded(2, 400, corr = 0.5)
-    val n = HammingLsh.candidates(a, b, "bf", L, tables = 30, bitsPerTable = 16).count()
+    val n = uniform(a, b, tables = 30, bits = 16).count()
     assert(n < 400L * 400L / 4, s"$n pairs left of 160000")
   }
   test("more tables increase recall") {
@@ -64,9 +69,9 @@ class HammingLshSpec extends SparkSpec {
     val b = encoded(2, 300, corr = 0.6)
     val truth = PersonGen.truthPairs(a, b)
     val pc1 = Candidates.pairsCompleteness(
-      HammingLsh.candidates(a, b, "bf", L, tables = 2, bitsPerTable = 24), truth)
+      uniform(a, b, tables = 2, bits = 24), truth)
     val pc2 = Candidates.pairsCompleteness(
-      HammingLsh.candidates(a, b, "bf", L, tables = 30, bitsPerTable = 24), truth)
+      uniform(a, b, tables = 30, bits = 24), truth)
     assert(pc2 >= pc1)
     assert(pc2 > 0.5)
   }
@@ -108,7 +113,7 @@ class HammingLshSpec extends SparkSpec {
     val sample = a.select("bf").collect().map(_.getAs[Array[Byte]](0)).toSeq
     val ps = HammingLsh.samplePositionsEntropyAware(sample, L, 30, 16, 7L)
     val nEntropy = HammingLsh.candidatesWithPositions(a, b, "bf", ps).count()
-    val nUniform = HammingLsh.candidates(a, b, "bf", L, 30, 16, 7L).count()
+    val nUniform = uniform(a, b, tables = 30, bits = 16).count()
     assert(nEntropy <= nUniform, s"entropy $nEntropy vs uniform $nUniform")
   }
 
@@ -124,8 +129,19 @@ class HammingLshSpec extends SparkSpec {
     // two unrelated records agree on ~s of bits; measure vs formula loosely
     val a = encoded(1, 150)
     val b = encoded(2, 150, corr = 0.0)
-    val cand = HammingLsh.candidates(a, b, "bf", L, tables = 4, bitsPerTable = 14)
+    val cand = uniform(a, b, tables = 4, bits = 14)
     // all 150 true pairs must be present (s=1 → p=1)
     assert(Candidates.truePositives(cand, PersonGen.truthPairs(a, b)) == 150)
+  }
+  test("oracle: candidatesWithPositions equal DuckDB join of keys on (t, key)") {
+    val a = encoded(1, 120)
+    val b = encoded(2, 120, corr = 0.4)
+    val positions = HammingLsh.samplePositions(L, 6, 10, 5L)
+    val sparkOut = HammingLsh.candidatesWithPositions(a, b, "bf", positions)
+      .select(col("id_a").cast("string") as "id_a", col("id_b").cast("string") as "id_b")
+    assert(sparkOut.count() > 0)
+    Oracle.assertEquivalent(sparkOut,
+      "SELECT DISTINCT ka.id AS id_a, kb.id AS id_b FROM ka JOIN kb USING (t, key)",
+      "ka" -> HammingLsh.keys(a, "bf", positions), "kb" -> HammingLsh.keys(b, "bf", positions))
   }
 }

@@ -1,6 +1,7 @@
 package repro.blocking
 
-import repro.SparkSpec
+import org.apache.spark.sql.functions._
+import repro.{Oracle, SparkSpec}
 import repro.core.Encodings
 import repro.data.PersonGen
 
@@ -65,5 +66,16 @@ class MinHashLshSpec extends SparkSpec {
     assert(MinHashLsh.collisionProbability(1.0, 10, 3) == 1.0)
     assert(MinHashLsh.collisionProbability(0.0, 10, 3) == 0.0)
     assert(MinHashLsh.collisionProbability(0.8, 30, 3) > 0.99)
+  }
+  test("oracle: candidates equal DuckDB join of keys on (t, key)") {
+    val a = tokened(1, 120)
+    val b = tokened(2, 120, corr = 0.4)
+    val sparkOut = MinHashLsh.candidates(a, b, "tokens", "s", bands = 8, rows = 2)
+      .select(col("id_a").cast("string") as "id_a", col("id_b").cast("string") as "id_b")
+    assert(sparkOut.count() > 0)
+    Oracle.assertEquivalent(sparkOut,
+      "SELECT DISTINCT ka.id AS id_a, kb.id AS id_b FROM ka JOIN kb USING (t, key)",
+      "ka" -> MinHashLsh.keys(a, "tokens", "s", bands = 8, rows = 2),
+      "kb" -> MinHashLsh.keys(b, "tokens", "s", bands = 8, rows = 2))
   }
 }

@@ -124,30 +124,6 @@ class BloomFilterSpec extends AnyFunSuite {
       BloomFilter.popcount(a) + BloomFilter.popcount(b) - BloomFilter.andCount(a, b))
   }
 
-  test("andAll of one filter is itself") {
-    val a = enc("solo")
-    assert(BloomFilter.andAll(Seq(a)).sameElements(a))
-  }
-  test("andAll of p copies equals the filter") {
-    val a = enc("peter")
-    assert(BloomFilter.andAll(Seq(a, a, a)).sameElements(a))
-  }
-  test("multiDice of identical filters is 1") {
-    val a = enc("peter")
-    assert(BloomFilter.multiDice(Seq(a, a, a)) == 1.0)
-  }
-  test("multiDice needs at least 2 filters") {
-    assertThrows[IllegalArgumentException](BloomFilter.multiDice(Seq(enc("x"))))
-  }
-  test("multiDice of pair equals pairwise dice") {
-    val (a, b) = (enc("garcia"), enc("gracia"))
-    assert(math.abs(BloomFilter.multiDice(Seq(a, b)) - BloomFilter.dice(a, b)) < 1e-12)
-  }
-  test("multiDice decreases as unrelated parties join") {
-    val (a, b, c) = (enc("garcia"), enc("gracia"), enc("zzyzx"))
-    assert(BloomFilter.multiDice(Seq(a, b, c)) < BloomFilter.multiDice(Seq(a, b)))
-  }
-
   test("setPositions matches getBit scan") {
     val a = enc("positions")
     val pos = BloomFilter.setPositions(a)

@@ -30,71 +30,22 @@ class SimilarityExpressionsSpec extends SparkSpec {
       assert(math.abs(r.getDouble(2) - expected) < 1e-12)
     }
   }
-  test("jaccardSim column matches the kernel") {
-    val rows = pairs(10)
-      .select(col("bf_a"), col("bf_b"),
-              SimilarityExpressions.jaccardSim(col("bf_a"), col("bf_b")) as "sim")
-      .collect()
-    rows.foreach { r =>
-      val expected = BloomFilter.jaccard(r.getAs[Array[Byte]](0), r.getAs[Array[Byte]](1))
-      assert(math.abs(r.getDouble(2) - expected) < 1e-12)
-    }
-  }
-  test("hammingDist column matches the kernel") {
-    val rows = pairs(10)
-      .select(col("bf_a"), col("bf_b"),
-              SimilarityExpressions.hammingDist(col("bf_a"), col("bf_b")) as "h")
-      .collect()
-    rows.foreach { r =>
-      assert(r.getInt(2) ==
-        BloomFilter.hamming(r.getAs[Array[Byte]](0), r.getAs[Array[Byte]](1)))
-    }
-  }
-  test("bitCount column matches popcount") {
-    val rows = encoded(20, 1)
-      .select(col("bf"), SimilarityExpressions.bitCount(col("bf")) as "c").collect()
-    rows.foreach(r => assert(r.getInt(1) == BloomFilter.popcount(r.getAs[Array[Byte]](0))))
-  }
-
   test("identical filters give dice=jaccard=1, hamming=0") {
     val df = encoded(8, 1)
     val self = df.withColumnRenamed("bf", "bf_a")
       .join(df.withColumnRenamed("bf", "bf_b"), "rec_id")
-      .select(SimilarityExpressions.diceSim(col("bf_a"), col("bf_b")) as "d",
-              SimilarityExpressions.jaccardSim(col("bf_a"), col("bf_b")) as "j",
-              SimilarityExpressions.hammingDist(col("bf_a"), col("bf_b")) as "h")
+      .select(col("bf_a"), col("bf_b"),
+              SimilarityExpressions.diceSim(col("bf_a"), col("bf_b")) as "d")
       .collect()
-    assert(self.forall(r => r.getDouble(0) == 1.0 && r.getDouble(1) == 1.0 && r.getInt(2) == 0))
+    assert(self.forall { r =>
+      val (a, b) = (r.getAs[Array[Byte]](0), r.getAs[Array[Byte]](1))
+      r.getDouble(2) == 1.0 && BloomFilter.jaccard(a, b) == 1.0 && BloomFilter.hamming(a, b) == 0
+    })
   }
   test("null input propagates null") {
     val df = encoded(3, 1).withColumn("nullbf", lit(null).cast("binary"))
     val rows = df.select(SimilarityExpressions.diceSim(col("bf"), col("nullbf"))).collect()
     assert(rows.forall(_.isNullAt(0)))
-  }
-
-  test("register exposes functions to SQL") {
-    SimilarityExpressions.register(spark)
-    encoded(6, 1).createOrReplaceTempView("ea")
-    encoded(6, 2).createOrReplaceTempView("eb")
-    val rows = spark.sql(
-      """SELECT a.rec_id id_a, b.rec_id id_b,
-        |       dice_sim(a.bf, b.bf) d, jaccard_sim(a.bf, b.bf) j,
-        |       hamming_dist(a.bf, b.bf) h, bit_count_bf(a.bf) c
-        |FROM ea a CROSS JOIN eb b""".stripMargin).collect()
-    assert(rows.length == 36)
-    assert(rows.forall(r => r.getDouble(2) >= 0 && r.getDouble(2) <= 1))
-    assert(rows.forall(r => r.getDouble(3) <= r.getDouble(2) + 1e-12))
-  }
-  test("SQL dice agrees with Column API dice") {
-    SimilarityExpressions.register(spark)
-    val p = pairs(7).select(col("id_a"), col("id_b"), col("bf_a"), col("bf_b"))
-    p.createOrReplaceTempView("p")
-    val viaSql = spark.sql("SELECT id_a, id_b, dice_sim(bf_a, bf_b) s FROM p")
-      .collect().map(r => (r.getLong(0), r.getLong(1)) -> r.getDouble(2)).toMap
-    val viaCol = p.select(col("id_a"), col("id_b"),
-        SimilarityExpressions.diceSim(col("bf_a"), col("bf_b")) as "s")
-      .collect().map(r => (r.getLong(0), r.getLong(1)) -> r.getDouble(2)).toMap
-    assert(viaSql == viaCol)
   }
 
   test("dice oracle: DuckDB recomputes dice from exploded bit positions") {

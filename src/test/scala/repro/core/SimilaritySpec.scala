@@ -24,54 +24,11 @@ class SimilaritySpec extends SparkSpec {
     assert(m(3L) == 0.0)
     assert(m(4L) == 0.0)
   }
-  test("tokenDice known values") {
-    val m = tokenDf.select(col("id"), Similarity.tokenDice(col("x"), col("y")) as "d")
-      .collect().map(r => r.getLong(0) -> r.getDouble(1)).toMap
-    assert(math.abs(m(1L) - 2.0 / 3) < 1e-12)
-    assert(m(2L) == 1.0)
-    assert(m(3L) == 0.0)
-  }
   test("tokenJaccard handles null arrays") {
     import spark.implicits._
     val df = Seq((1L, Seq("a"))).toDF("id", "x")
       .withColumn("y", lit(null).cast("array<string>"))
     val v = df.select(Similarity.tokenJaccard(col("x"), col("y"))).head.getDouble(0)
     assert(v == 0.0)
-  }
-
-  test("editSim identical strings is 1") {
-    import spark.implicits._
-    val df = Seq(("smith", "smith")).toDF("a", "b")
-    assert(df.select(Similarity.editSim(col("a"), col("b"))).head.getDouble(0) == 1.0)
-  }
-  test("editSim one edit of five chars is 0.8") {
-    import spark.implicits._
-    val df = Seq(("smith", "smyth")).toDF("a", "b")
-    assert(math.abs(df.select(Similarity.editSim(col("a"), col("b"))).head.getDouble(0) - 0.8) < 1e-12)
-  }
-  test("editSim empty vs empty is 1") {
-    import spark.implicits._
-    val df = Seq(("", "")).toDF("a", "b")
-    assert(df.select(Similarity.editSim(col("a"), col("b"))).head.getDouble(0) == 1.0)
-  }
-  test("editSim totally different is low") {
-    import spark.implicits._
-    val df = Seq(("aaaa", "zzzz")).toDF("a", "b")
-    assert(df.select(Similarity.editSim(col("a"), col("b"))).head.getDouble(0) == 0.0)
-  }
-
-  test("multiDice column matches kernel") {
-    import spark.implicits._
-    val secret = "ms"
-    def e(s: String) = BloomFilter.encode(QGrams.qgrams(s), 128, 6, secret)
-    val df = Seq((1L, Seq(e("garcia"), e("gracia"), e("garcias")))).toDF("id", "bfs")
-    val got = df.select(Similarity.multiDice(col("bfs"))).head.getDouble(0)
-    assert(math.abs(got - BloomFilter.multiDice(Seq(e("garcia"), e("gracia"), e("garcias")))) < 1e-12)
-  }
-  test("multiDice of identical filters is 1") {
-    import spark.implicits._
-    def e(s: String) = BloomFilter.encode(QGrams.qgrams(s), 128, 6, "k")
-    val df = Seq((1L, Seq(e("x"), e("x"), e("x"), e("x")))).toDF("id", "bfs")
-    assert(df.select(Similarity.multiDice(col("bfs"))).head.getDouble(0) == 1.0)
   }
 }

@@ -113,9 +113,4 @@ class PersonGenSpec extends SparkSpec {
   test("parties requires p >= 2") {
     assertThrows[IllegalArgumentException](PersonGen.parties(spark, 1, 100, 0.5))
   }
-  test("SynthData delegates build the same pair") {
-    val (a1, _) = repro.SynthData.personPair(spark, 40, 40, 10, 0.1, 2, 9L)
-    val (a2, _) = PersonGen.pair(spark, 40, 40, 10, 0.1, 2, 9L)
-    assert(a1.collect().toSeq == a2.collect().toSeq)
-  }
 }

@@ -14,15 +14,6 @@ class ClassifierSpec extends SparkSpec {
   private def truth = Seq((1L, 10L), (2L, 20L), (3L, 30L), (6L, 60L))
     .toDF("id_a", "id_b")
 
-  test("thresholdMatches filters by sim") {
-    val m = Classifier.thresholdMatches(scored, 0.8).collect()
-      .map(r => (r.getLong(0), r.getLong(1))).toSet
-    assert(m == Set((1L, 10L), (2L, 20L), (5L, 50L)))
-  }
-  test("thresholdMatches at 0 keeps everything") {
-    assert(Classifier.thresholdMatches(scored, 0.0).count() == 6)
-  }
-
   test("prf computes precision, recall, F1") {
     val matches = Seq((1L, 10L), (2L, 20L), (5L, 50L)).toDF("id_a", "id_b")
     val (p, r, f1) = Classifier.prf(matches, truth)
@@ -44,7 +35,7 @@ class ClassifierSpec extends SparkSpec {
     assert(rows.size == 2)
     val (t8, p8, r8, _) = rows.head
     assert(t8 == 0.8)
-    val (pe, re, _) = Classifier.prf(Classifier.thresholdMatches(scored, 0.8), truth)
+    val (pe, re, _) = Classifier.prf(scored.where(col("sim") >= 0.8), truth)
     assert(math.abs(p8 - pe) < 1e-12 && math.abs(r8 - re) < 1e-12)
   }
   test("sweep recall is monotone non-increasing in threshold") {

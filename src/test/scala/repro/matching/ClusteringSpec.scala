@@ -58,4 +58,11 @@ class ClusteringSpec extends SparkSpec {
     val b = comps((2L, 1L), (1L, 2L), (3L, 2L), (2L, 3L))
     assert(a == b)
   }
+  test("connectedComponents throws when labels still change at maxIter") {
+    val path = (1L until 64L).map(i => (i, i + 1)).toDF("id_a", "id_b")
+    val e = intercept[IllegalStateException](Clustering.connectedComponents(path, maxIter = 1))
+    assert(e.getMessage.contains("maxIter=1") && e.getMessage.contains("labels changed"))
+    val c = Clustering.connectedComponents(path).collect().map(_.getLong(1)).toSet
+    assert(c == Set(1L)) // the default maxIter converges
+  }
 }

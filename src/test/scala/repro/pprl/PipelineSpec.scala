@@ -50,13 +50,6 @@ class PipelineSpec extends SparkSpec {
     assert(rows.map(_.getLong(1)).distinct.length == rows.length)
     res.matches.unpersist()
   }
-  test("disabling one-to-one yields at least as many matches") {
-    val (a, b) = PersonGen.pair(spark, 300, 300, 150, 0.2)
-    val r1 = Pipeline.run(a, b, cfg)
-    val r2 = Pipeline.run(a, b, cfg.copy(oneToOne = false))
-    assert(r2.nMatches >= r1.nMatches)
-    r1.matches.unpersist(); r2.matches.unpersist()
-  }
   test("higher threshold yields fewer matches") {
     val (a, b) = PersonGen.pair(spark, 300, 300, 150, 0.3)
     val lo = Pipeline.run(a, b, cfg.copy(threshold = 0.7))
