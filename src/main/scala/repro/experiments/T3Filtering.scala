@@ -83,7 +83,6 @@ object T3Filtering {
     }
     val ppVerified = measure("ppjoin-verified") {
       PPJoin.verify(PPJoin.candidates(arp, brp, p.jaccardT), arp, brp, p.jaccardT)
-        .select("id_a", "id_b")
     }
     arp.unpersist(); brp.unpersist()
     a.unpersist(); b.unpersist(); truth.unpersist()

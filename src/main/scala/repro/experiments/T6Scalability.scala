@@ -16,7 +16,7 @@ object T6Scalability {
   case class SizeRow(n: Long, candidates: Long, matches: Long, f1: Double,
                      encodeMs: Long, blockMs: Long, scoreMs: Long,
                      classifyMs: Long, totalMs: Long)
-  case class PartRow(partitions: Int, totalMs: Long)
+  case class PartRow(n: Long, partitions: Int, totalMs: Long)
 
   case class Params(corruption: Double = 0.2, overlapFrac: Double = 0.5,
                     cfg: Pipeline.Config = Pipeline.Config(), seed: Long = 42L)
@@ -46,7 +46,7 @@ object T6Scalability {
                                       prm.corruption, maxEdits = 2, seed = prm.seed)
         val res = Pipeline.run(a0.repartition(parts), b0.repartition(parts), prm.cfg)
         res.matches.unpersist()
-        PartRow(parts, res.totalMillis)
+        PartRow(n, parts, res.totalMillis)
       }
     } finally spark.conf.set("spark.sql.shuffle.partitions", before)
   }
@@ -58,7 +58,7 @@ object T6Scalability {
                             Fmt.f(r.f1), Fmt.secs(r.encodeMs), Fmt.secs(r.blockMs),
                             Fmt.secs(r.scoreMs), Fmt.secs(r.classifyMs),
                             Fmt.secs(r.totalMs))))
-    val t2 = Fmt.table("T6b — shuffle-partition sweep (n=20k per party)",
+    val t2 = Fmt.table(s"T6b — shuffle-partition sweep (n=${partRows.map(_.n).distinct.mkString("/")} per party)",
       Seq("partitions", "total"),
       partRows.map(r => Seq(r.partitions.toString, Fmt.secs(r.totalMs))))
     s"$t1\n\n$t2"

@@ -1,7 +1,6 @@
 package repro.filtering
 
 import org.apache.spark.sql.{Column, DataFrame}
-import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import repro.core.BloomFilter
 
@@ -22,35 +21,33 @@ import repro.core.BloomFilter
   *    occurs in the other, so |x ∩ y| ≤ 1 + min(|x| − i − 1, |y| − j − 1),
   *    which must reach α.
   * Each pair is judged on the row of its first shared prefix token only,
-  * so [[candidates]] emits it at most once without a `distinct`.
+  * so [[candidates]] emits it at most once without a `distinct`. That row
+  * holds both rank arrays, so the exact Jaccard is computed there too.
   */
 object PPJoin {
 
-  /** Dice threshold → equivalent Jaccard threshold (J = D / (2 − D)). */
-  def diceToJaccard(t: Double): Double = t / (2.0 - t)
-
   /** Column of sorted set-bit positions of a Bloom filter. */
-  def bfPositions(bf: Column): Column = {
-    val f = udf((bytes: Array[Byte]) => BloomFilter.setPositions(bytes))
-    f(bf)
-  }
+  def bfPositions(bf: Column): Column =
+    udf((bytes: Array[Byte]) => BloomFilter.setPositions(bytes)).apply(bf)
 
-  /** Re-rank both parties' token sets by ascending global document
-    * frequency (the PPJoin canonical order). Input: `(id, tokens:
-    * array<int>)` per party, where repeated tokens count once; output per
-    * party: `(id, toks: array<int>)` distinct ranks sorted ascending.
+  /** Re-rank both parties' `(id, tokens: array<int>)` sets to dense ranks
+    * 1..D in ascending global `(document frequency, tok)` order, the PPJoin
+    * canonical order; a repeated token counts once. Output per party: `(id,
+    * toks)`, distinct ranks sorted, for records with at least one token. The
+    * frequency dictionary is sorted on the driver and broadcast, so arrays
+    * are reranked in place with no window or join-back. That assumes a small
+    * dictionary: hashed q-grams, or BF positions (≤ l).
     */
   def rankTokens(a: DataFrame, b: DataFrame): (DataFrame, DataFrame) = {
-    def tokenSets(df: DataFrame): DataFrame =
-      df.select(col("id"), explode(array_distinct(col("tokens"))) as "tok")
-    val ranks = tokenSets(a).unionByName(tokenSets(b))
-      .groupBy("tok").agg(count("*") as "df")
-      .withColumn("rank", row_number().over(Window.orderBy(col("df"), col("tok"))))
-      .select("tok", "rank")
-    def rerank(df: DataFrame): DataFrame =
-      tokenSets(df).join(ranks, "tok")
-        .groupBy("id").agg(sort_array(collect_list(col("rank"))) as "toks")
-    (rerank(a), rerank(b))
+    val docTokens = a.select("tokens").unionByName(b.select("tokens"))
+      .select(explode(array_distinct(col("tokens"))) as "tok")
+    val rankOf = a.sparkSession.sparkContext.broadcast(docTokens.groupBy("tok").count().collect()
+      .map(r => (r.getLong(1), r.getInt(0))).sorted
+      .zipWithIndex.map { case ((_, tok), i) => tok -> (i + 1) }.toMap)
+    val rerank = udf((ts: Seq[Int]) => ts.map(rankOf.value).distinct.sorted)
+    def ranked(df: DataFrame): DataFrame =
+      df.where(size(col("tokens")) > 0).select(col("id"), rerank(col("tokens")) as "toks")
+    (ranked(a), ranked(b))
   }
 
   // Integer bounds of real-valued thresholds, widened by ε so that
@@ -65,9 +62,10 @@ object PPJoin {
   def prefixLen(size: Column, t: Double): Column =
     greatest(lit(1), size - ceilBound(lit(t) * size) + lit(1))
 
-  /** Candidate pairs `(id_a, id_b)`, each at most once, under length,
-    * prefix and position filtering at Jaccard ≥ t. Inputs are `(id, toks)`
-    * rank arrays from [[rankTokens]].
+  /** Candidate pairs `(id_a, id_b, jaccard)`, each at most once, under
+    * length, prefix and position filtering at Jaccard ≥ t, from the
+    * `(id, toks)` arrays of [[rankTokens]]. `jaccard` is exact; Catalyst
+    * drops it unevaluated when a caller selects only the ids.
     */
   def candidates(aRanked: DataFrame, bRanked: DataFrame, t: Double): DataFrame = {
     require(t > 0 && t <= 1, s"Jaccard threshold must be in (0,1], got $t")
@@ -81,25 +79,22 @@ object PPJoin {
     val position = least(col("len_a") - col("pos_a"), col("len_b") - col("pos_b")) >= alpha
     val firstShared = !arrays_overlap(slice(col("toks_a"), lit(1), col("pos_a")),
                                       slice(col("toks_b"), lit(1), col("pos_b")))
+    val inter = size(array_intersect(col("toks_a"), col("toks_b")))
     lengthFilter(joined, "len_a", "len_b", t)
       .where(position && firstShared)
-      .select("id_a", "id_b")
+      .select(col("id_a"), col("id_b"),
+              inter / (col("len_a") + col("len_b") - inter) as "jaccard")
   }
 
-  /** Verified pairs: exact Jaccard |x ∩ y| / (|x| + |y| − |x ∩ y|) over the
-    * non-empty rank sets of [[rankTokens]], filtered at t. Returns
-    * `(id_a, id_b, jaccard)`.
+  /** Verified pairs: the [[candidates]] rows whose exact Jaccard, computed
+    * in the prefix join, reaches t. `aRanked` and `bRanked` are unused; they
+    * stay so that four-argument callers compile.
     */
   def verify(cands: DataFrame, aRanked: DataFrame, bRanked: DataFrame,
              t: Double): DataFrame = {
-    val inter = size(array_intersect(col("toks_a"), col("toks_b")))
-    val union = size(col("toks_a")) + size(col("toks_b")) - inter
-    cands
-      .join(aRanked.select(col("id") as "id_a", col("toks") as "toks_a"), "id_a")
-      .join(bRanked.select(col("id") as "id_b", col("toks") as "toks_b"), "id_b")
-      .withColumn("jaccard", inter / union)
-      .where(col("jaccard") >= t)
-      .select("id_a", "id_b", "jaccard")
+    require(cands.columns.contains("jaccard"), "verify needs the jaccard column of " +
+      s"PPJoin.candidates; got columns ${cands.columns.mkString("(", ", ", ")")}")
+    cands.where(col("jaccard") >= t)
   }
 
   /** Length filter over pre-joined pairs carrying set sizes. */

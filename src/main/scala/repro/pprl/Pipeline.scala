@@ -30,7 +30,12 @@ object Pipeline {
       lshTables: Int = 40,
       lshBits: Int = 24,
       threshold: Double = 0.9,
-      seed: Long = 7L)
+      seed: Long = 7L) {
+    for ((name, v) <- Seq("l" -> l, "k" -> k, "q" -> q, "lshTables" -> lshTables))
+      require(v > 0, s"$name must be positive, got $v")
+    require(lshBits > 0 && lshBits <= 63, s"lshBits must be in [1, 63], got $lshBits")
+    require(threshold > 0 && threshold <= 1, s"threshold must be in (0, 1], got $threshold")
+  }
 
   /** Outcome: the matched pairs plus the numbers every experiment reports. */
   case class Result(

@@ -67,6 +67,8 @@ class ExperimentsSmokeSpec extends SparkSpec {
       T6Scalability.Params(cfg = repro.pprl.Pipeline.Config(
         l = 512, k = 10, lshTables = 20, lshBits = 16)))
     assert(parts.size == 2)
-    assert(T6Scalability.format(rows, parts).contains("T6a"))
+    val table = T6Scalability.format(rows, parts)
+    assert(table.contains("T6a"))
+    assert(table.contains("shuffle-partition sweep (n=400 per party)"), table)
   }
 }

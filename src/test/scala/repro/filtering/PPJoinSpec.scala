@@ -9,12 +9,6 @@ import repro.data.PersonGen
 class PPJoinSpec extends SparkSpec {
   import spark.implicits._
 
-  test("diceToJaccard known conversions") {
-    assert(math.abs(PPJoin.diceToJaccard(0.8) - 2.0 / 3) < 1e-12)
-    assert(PPJoin.diceToJaccard(1.0) == 1.0)
-    assert(math.abs(PPJoin.diceToJaccard(0.5) - 1.0 / 3) < 1e-12)
-  }
-
   test("bfPositions column matches kernel setPositions") {
     val df = Encodings.withClk(PersonGen.database(spark, 1, 0, 10),
                                Seq("fname"), l = 128, k = 5)
@@ -62,14 +56,16 @@ class PPJoinSpec extends SparkSpec {
     assert(vals.toSeq == Seq(2, 3))
   }
 
-  /** Exact Jaccard ≥ t by brute force, in `verify`'s arithmetic. */
+  /** Exact Jaccard of two token sets, in `candidates`' arithmetic. */
+  private def jaccard(sa: Seq[Int], sb: Seq[Int]): Double = {
+    val inter = sa.toSet.intersect(sb.toSet).size
+    inter.toDouble / (sa.toSet.size + sb.toSet.size - inter)
+  }
+
+  /** Exact Jaccard ≥ t by brute force. */
   private def exactPairs(as: Seq[(Long, Seq[Int])], bs: Seq[(Long, Seq[Int])],
                          t: Double): Set[(Long, Long)] =
-    (for {
-      (ia, sa) <- as; (ib, sb) <- bs
-      inter = sa.toSet.intersect(sb.toSet).size
-      if inter.toDouble / (sa.toSet.size + sb.toSet.size - inter) >= t
-    } yield (ia, ib)).toSet
+    (for ((ia, sa) <- as; (ib, sb) <- bs if jaccard(sa, sb) >= t) yield (ia, ib)).toSet
 
   /** Random sets over a small universe. Every other `b` set is an `a` set
     * with a few tokens dropped or added, so every threshold up to 0.9 has
@@ -168,6 +164,68 @@ class PPJoinSpec extends SparkSpec {
       val got = pairsOf(PPJoin.verify(PPJoin.candidates(ar, br, t), ar, br, t)).toSet
       assert(got == exactPairs(aSets, bSets, t), s"t=$t")
     }
+  }
+  test("candidates carry the exact jaccard of every pair") {
+    val (aSets, bSets) = randomParties(17)
+    val (ar, br) = PPJoin.rankTokens(tok(aSets: _*), tok(bSets: _*))
+    val (aMap, bMap) = (aSets.toMap, bSets.toMap)
+    for (t <- thresholds) {
+      val rows = PPJoin.candidates(ar, br, t).collect()
+      assert(rows.nonEmpty, s"t=$t")
+      rows.foreach { r =>
+        val (ia, ib) = (r.getAs[Long]("id_a"), r.getAs[Long]("id_b"))
+        assert(r.getAs[Double]("jaccard") == jaccard(aMap(ia), bMap(ib)), s"t=$t ($ia, $ib)")
+      }
+    }
+  }
+  test("rankTokens equals a driver-side dense rank by (df, tok)") {
+    val rnd = new scala.util.Random(19)
+    def randSeq() = Seq.fill(rnd.nextInt(12))(rnd.nextInt(30) - 10) // repeats, negatives
+    val aSets = (1L to 25L).map(_ -> randSeq()) :+ (26L -> Seq.empty[Int])
+    val bSets = (101L to 125L).map(_ -> randSeq()) :+ (126L -> Seq.empty[Int])
+    val all = aSets ++ bSets
+    val df = all.flatMap(_._2.distinct).groupBy(identity).map { case (k, v) => k -> v.size.toLong }
+    val rankOf = df.toSeq.sortBy { case (tok, n) => (n, tok) }.map(_._1).zipWithIndex
+      .map { case (tok, i) => tok -> (i + 1) }.toMap
+    def expected(sets: Seq[(Long, Seq[Int])]): Map[Long, Seq[Int]] =
+      sets.collect { case (id, ts) if ts.nonEmpty => id -> ts.distinct.map(rankOf).sorted }.toMap
+    def got(ranked: DataFrame): Map[Long, Seq[Int]] =
+      ranked.collect().map(r => r.getLong(0) -> r.getSeq[Int](1)).toMap
+    val (ar, br) = PPJoin.rankTokens(tok(aSets: _*), tok(bSets: _*))
+    assert(rankOf.values.toSet == (1 to rankOf.size).toSet)
+    assert(got(ar) == expected(aSets))
+    assert(got(br) == expected(bSets))
+  }
+  test("ranked plans contain no Window node") {
+    val (aSets, bSets) = randomParties(7)
+    val (ar, br) = PPJoin.rankTokens(tok(aSets: _*), tok(bSets: _*))
+    for (ranked <- Seq(ar, br)) {
+      val plan = ranked.queryExecution.optimizedPlan
+      assert(plan.collectFirst { case w: org.apache.spark.sql.catalyst.plans.logical.Window => w }
+        .isEmpty, plan.toString)
+    }
+  }
+  test("verified pairs do not depend on partitioning or row order") {
+    val (aSets, bSets) = randomParties(23)
+    val t = 0.55
+    def verified(a: DataFrame, b: DataFrame): Set[(Long, Long, Double)] = {
+      val (ar, br) = PPJoin.rankTokens(a, b)
+      PPJoin.verify(PPJoin.candidates(ar, br, t), ar, br, t).collect()
+        .map(r => (r.getLong(0), r.getLong(1), r.getDouble(2))).toSet
+    }
+    val reference = verified(tok(aSets: _*), tok(bSets: _*))
+    assert(reference.map(p => (p._1, p._2)) == exactPairs(aSets, bSets, t))
+    for (parts <- Seq(1, 4, 16)) {
+      val rnd = new scala.util.Random(parts)
+      def shuffled(sets: Seq[(Long, Seq[Int])]) = tok(rnd.shuffle(sets): _*).repartition(parts)
+      assert(verified(shuffled(aSets), shuffled(bSets)) == reference, s"$parts partitions")
+    }
+  }
+  test("verify rejects pairs that did not come from candidates") {
+    val (ar, br) = PPJoin.rankTokens(tok(1L -> Seq(1)), tok(2L -> Seq(1)))
+    val e = intercept[IllegalArgumentException](
+      PPJoin.verify(Seq((1L, 2L)).toDF("id_a", "id_b"), ar, br, 0.5))
+    assert(e.getMessage.contains("jaccard"))
   }
   test("threshold must be in (0,1]") {
     val (ar, br) = PPJoin.rankTokens(tok(1L -> Seq(1)), tok(2L -> Seq(1)))

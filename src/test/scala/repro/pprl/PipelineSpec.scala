@@ -57,6 +57,18 @@ class PipelineSpec extends SparkSpec {
     assert(hi.nMatches <= lo.nMatches)
     lo.matches.unpersist(); hi.matches.unpersist()
   }
+  test("Config rejects out-of-range settings when it is built") {
+    assertThrows[IllegalArgumentException](Pipeline.Config(lshBits = 64))
+    assertThrows[IllegalArgumentException](Pipeline.Config(lshBits = 0))
+    assertThrows[IllegalArgumentException](Pipeline.Config(threshold = 0.0))
+    assertThrows[IllegalArgumentException](Pipeline.Config(threshold = 1.01))
+    assertThrows[IllegalArgumentException](Pipeline.Config(l = 0))
+    assertThrows[IllegalArgumentException](Pipeline.Config(k = 0))
+    assertThrows[IllegalArgumentException](Pipeline.Config(q = 0))
+    assertThrows[IllegalArgumentException](Pipeline.Config(lshTables = 0))
+    assertThrows[IllegalArgumentException](cfg.copy(threshold = -0.5))
+    assert(Pipeline.Config(lshBits = 63, threshold = 1.0).lshBits == 63)
+  }
   test("no overlap yields almost no matches") {
     val (a, b) = PersonGen.pair(spark, 200, 200, 0, 0.0)
     val res = Pipeline.run(a, b, cfg.copy(threshold = 0.95))
