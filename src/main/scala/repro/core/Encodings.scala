@@ -49,24 +49,6 @@ object Encodings {
                   saltField: Option[String] = None, out: String = "bf"): DataFrame =
     withClk(df, Seq(field), l, k, q, secret, tagged = false, saltField, out)
 
-  /** Append `out` = numeric-neighbourhood Bloom filter: the value is
-    * rounded to `resolution` and its `2·neighbours+1` neighbouring steps
-    * are hashed as tokens, so Dice similarity between two encoded numbers
-    * decays linearly with their distance (Vatsalan & Christen's
-    * distance-preserving numeric encoding).
-    */
-  def withNumericBf(df: DataFrame, field: String, l: Int = 256, k: Int = 10,
-                    resolution: Double = 1.0, neighbours: Int = 5,
-                    secret: String = "s3cret", out: String = "bf"): DataFrame = {
-    require(resolution > 0, s"resolution must be > 0, got $resolution")
-    val enc = udf((v: Double) => {
-      val base = math.round(v / resolution)
-      val tokens = (-neighbours to neighbours).map(i => s"n:${base + i}")
-      BloomFilter.encode(tokens, l, k, secret)
-    })
-    df.withColumn(out, enc(col(field).cast("double")))
-  }
-
   // ------------------------------------------------- derived / exact keys
 
   /** SLK-581 (AIHW): 2nd+3rd letters of first name, 2nd+3rd+5th of

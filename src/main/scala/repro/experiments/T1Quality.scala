@@ -22,10 +22,6 @@ object T1Quality {
 
   val Thresholds: Seq[Double] = (50 to 95 by 5).map(_ / 100.0)
 
-  /** Cartesian candidate pairs of the two parties. */
-  private def crossPairs(a: DataFrame, b: DataFrame): DataFrame =
-    a.select(col("rec_id") as "id_a").crossJoin(b.select(col("rec_id") as "id_b"))
-
   def run(spark: SparkSession, n: Long = 1500,
           corruptions: Seq[Double] = Seq(0.0, 0.2, 0.4),
           secret: String = "s3cret", seed: Long = 42L): Seq[Row] = {
@@ -33,7 +29,8 @@ object T1Quality {
       val (a0, b0) = PersonGen.pair(spark, n, n, n / 2, corr, maxEdits = 2, seed = seed)
       val a = a0.persist(); val b = b0.persist()
       val truth = PersonGen.truthPairs(a, b).persist()
-      val cands = crossPairs(a, b).persist()
+      val cands = a.select(col("rec_id") as "id_a")
+        .crossJoin(b.select(col("rec_id") as "id_b")).persist()
       cands.count()
 
       def timedBest(name: String, scored: DataFrame,
@@ -86,6 +83,21 @@ object T1Quality {
       cands.unpersist(); truth.unpersist(); a.unpersist(); b.unpersist()
       Seq(exact, slk, fb, clk, plain)
     }
+  }
+
+  /** EXPERIMENTS.md T1's claim shape, as verdicts ([[Fmt.verdicts]]). */
+  def check(rows: Seq[Row]): Seq[String] = Fmt.verdicts {
+    val at = rows.map(r => (r.encoder, r.corruption) -> r).toMap
+    def f1(enc: String, c: Double): Double = at((enc, c)).f1
+    Seq("hmac-exact", "slk-581", "field-bf-dice", "clk-dice", "plain-qgram")
+      .map(e => Fmt.claim(s"$e @ 0.0%", "F1", f1(e, 0.0), ">", 0.95)) ++
+    Seq(0.2, 0.4).flatMap { c =>
+      val (row, clk) = (s"clk-dice @ ${Fmt.pct(c)}", f1("clk-dice", c))
+      Seq(Fmt.claim(row, "F1", clk, ">", f1("hmac-exact", c), "hmac-exact F1 "),
+          Fmt.claim(row, "F1", clk, ">", f1("slk-581", c), "slk-581 F1 "),
+          Fmt.claim(row, "F1 gap to plain-qgram", f1("plain-qgram", c) - clk, "<", 0.05))
+    } :+
+    Fmt.claim("hmac-exact @ 40.0%", "recall", at(("hmac-exact", 0.4)).recall, "<", 0.75)
   }
 
   def format(rows: Seq[Row]): String =

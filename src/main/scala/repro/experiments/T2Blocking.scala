@@ -28,16 +28,13 @@ object T2Blocking {
     val (a0, b0) = PersonGen.pair(spark, p.n, p.n, (p.n * p.overlapFrac).toLong,
                                   p.corruption, maxEdits = 2, seed = p.seed)
     val fields = Seq("fname", "lname", "city")
-    val a = Encodings.withTokens(
-      Encodings.withSoundexKey(
-        Encodings.withClk(a0, fields, p.l, p.k, secret = p.secret),
-        Seq("fname", "lname"), p.secret),
-      fields).persist()
-    val b = Encodings.withTokens(
-      Encodings.withSoundexKey(
-        Encodings.withClk(b0, fields, p.l, p.k, secret = p.secret),
-        Seq("fname", "lname"), p.secret),
-      fields).persist()
+    def enrich(df: DataFrame): DataFrame =
+      Encodings.withTokens(
+        Encodings.withSoundexKey(
+          Encodings.withClk(df, fields, p.l, p.k, secret = p.secret),
+          Seq("fname", "lname"), p.secret),
+        fields)
+    val a = enrich(a0).persist(); val b = enrich(b0).persist()
     a.count(); b.count()
     val truth = PersonGen.truthPairs(a, b).persist()
     truth.count()
@@ -53,18 +50,27 @@ object T2Blocking {
     }
 
     val cartesian = Row("cartesian", p.n * p.n, 0.0, 1.0, 0L)
-    val soundex = measure("soundex-block") {
-      StandardBlocking.candidates(a, b, "bkey")
-    }
-    val hlsh = measure("hamming-lsh") {
-      HammingLsh.candidatesWithPositions(a, b, "bf",
-        HammingLsh.samplePositions(p.l, p.lshTables, p.lshBits, p.seed))
-    }
-    val mlsh = measure("minhash-lsh") {
-      MinHashLsh.candidates(a, b, "tokens", p.secret, p.bands, p.rows)
-    }
+    val soundex = measure("soundex-block")(StandardBlocking.candidates(a, b, "bkey"))
+    val hlsh = measure("hamming-lsh")(HammingLsh.candidatesWithPositions(a, b, "bf",
+      HammingLsh.samplePositions(p.l, p.lshTables, p.lshBits, p.seed)))
+    val mlsh = measure("minhash-lsh")(
+      MinHashLsh.candidates(a, b, "tokens", p.secret, p.bands, p.rows))
     a.unpersist(); b.unpersist(); truth.unpersist()
     Seq(cartesian, soundex, hlsh, mlsh)
+  }
+
+  /** EXPERIMENTS.md T2's claim shape, as verdicts ([[Fmt.verdicts]]). */
+  def check(rows: Seq[Row], p: Params): Seq[String] = Fmt.verdicts {
+    val m = rows.map(r => r.method -> r).toMap
+    val soundexPc = m("soundex-block").pc
+    Seq(Fmt.claim("cartesian", "candidates", m("cartesian").candidates, "==", p.n * p.n,
+                  "n·n = ")) ++
+    Seq("soundex-block", "hamming-lsh", "minhash-lsh")
+      .map(s => Fmt.claim(s, "RR", m(s).rr, ">", 0.95)) ++
+    Seq("hamming-lsh", "minhash-lsh").flatMap(s => Seq(
+      Fmt.claim(s, "PC", m(s).pc, ">", soundexPc, "soundex-block PC "),
+      Fmt.claim(s, "PC", m(s).pc, ">", 0.93))) :+
+    Fmt.claim("soundex-block", "PC", soundexPc, "<", 0.95)
   }
 
   def format(rows: Seq[Row]): String =

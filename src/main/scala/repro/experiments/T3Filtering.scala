@@ -52,12 +52,9 @@ object T3Filtering {
       r
     }
 
-    val soundex = measure("soundex-block") {
-      StandardBlocking.candidates(a, b, "bkey1")
-    }
-    val purged = measure("+purging") {
-      BlockPurging.candidates(a, b, "bkey1", p.purgeMaxComparisons)
-    }
+    val soundex = measure("soundex-block")(StandardBlocking.candidates(a, b, "bkey1"))
+    val purged = measure("+purging")(
+      BlockPurging.candidates(a, b, "bkey1", p.purgeMaxComparisons))
     val wnp = measure("+wnp-metablocking") {
       // CBS weights over both blocking functions, oversized blocks purged
       val bad1 = BlockPurging.purgedKeys(a, b, "bkey1", p.purgeMaxComparisons)
@@ -78,18 +75,28 @@ object T3Filtering {
     arp.count(); brp.count()
     val rankMs = (System.nanoTime() - t0) / 1000000L
 
-    val ppCand = measure("ppjoin-len+prefix+pos") {
-      PPJoin.candidates(arp, brp, p.jaccardT)
-    }
-    val ppVerified = measure("ppjoin-verified") {
-      PPJoin.verify(PPJoin.candidates(arp, brp, p.jaccardT), arp, brp, p.jaccardT)
-    }
+    val ppCand = measure("ppjoin-len+prefix+pos")(PPJoin.candidates(arp, brp, p.jaccardT))
+    val ppVerified = measure("ppjoin-verified")(
+      PPJoin.verify(PPJoin.candidates(arp, brp, p.jaccardT), arp, brp, p.jaccardT))
     arp.unpersist(); brp.unpersist()
     a.unpersist(); b.unpersist(); truth.unpersist()
 
     Seq(soundex, purged, wnp,
         ppCand.copy(millis = ppCand.millis + rankMs),
         ppVerified.copy(millis = ppVerified.millis + rankMs))
+  }
+
+  /** EXPERIMENTS.md T3's claim shape, as verdicts ([[Fmt.verdicts]]). */
+  def check(rows: Seq[Row]): Seq[String] = Fmt.verdicts {
+    val m = rows.map(r => r.method -> r).toMap
+    val (block, verified) = (m("soundex-block"), m("ppjoin-verified"))
+    Seq(Fmt.claim("+purging", "candidates", m("+purging").candidates, "<", block.candidates,
+                  "soundex-block "),
+        Fmt.claim("+wnp-metablocking", "PC", m("+wnp-metablocking").pc, ">", 0.7),
+        Fmt.claim("ppjoin-verified", "candidates", verified.candidates, "<=",
+                  m("ppjoin-len+prefix+pos").candidates, "ppjoin-len+prefix+pos "),
+        Fmt.claim("ppjoin-verified", "PQ", verified.pq, ">", block.pq, "soundex-block PQ "),
+        Fmt.claim("ppjoin-verified", "PC", verified.pc, ">", 0.6))
   }
 
   def format(rows: Seq[Row]): String =

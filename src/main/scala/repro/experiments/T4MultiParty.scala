@@ -33,11 +33,7 @@ object T4MultiParty {
 
   def run(spark: SparkSession, ps: Seq[Int] = Seq(3, 5),
           prm: Params = Params()): Result = {
-    val links = scala.collection.mutable.ArrayBuffer.empty[LinkRow]
-    val subsets = scala.collection.mutable.ArrayBuffer.empty[SubsetRow]
-    val comms = scala.collection.mutable.ArrayBuffer.empty[CommRow]
-
-    for (p <- ps) {
+    val perP = ps.map { p =>
       val t0 = System.nanoTime()
       val raw = PersonGen.parties(spark, p, prm.universe, prm.inclusionProb,
                                   prm.corruption, maxEdits = 2, seed = prm.seed)
@@ -61,8 +57,8 @@ object T4MultiParty {
         .reduce(_ unionByName _)
       val (prec, rec, f1) = Classifier.prf(predPairs, truthPairs)
       val ms = (System.nanoTime() - t0) / 1000000L
-      links += LinkRow(p, comparisons, MultiParty.naiveComparisons(sizes),
-                       nClusters, prec, rec, f1, ms)
+      val link = LinkRow(p, comparisons, MultiParty.naiveComparisons(sizes),
+                         nClusters, prec, rec, f1, ms)
 
       // subset matching: estimated (clusters spanning >= m parties) vs truth
       val membership = raw.zipWithIndex.map { case (df, i) =>
@@ -70,19 +66,41 @@ object T4MultiParty {
       }.reduce(_ unionByName _)
       val truthCounts = membership.groupBy("ent_id")
         .agg(countDistinct("party") as "parties").persist()
-      for (m <- 2 to p) {
-        val est = MultiParty.subsetMatchCount(comp, m)
-        val tru = truthCounts.where(col("parties") >= m).count()
-        subsets += SubsetRow(p, m, est, tru)
-      }
+      val subsets = (2 to p).map(m => SubsetRow(p, m, MultiParty.subsetMatchCount(comp, m),
+                                                truthCounts.where(col("parties") >= m).count()))
       truthCounts.unpersist()
 
-      for (c <- MultiParty.commCosts(sizes, prm.l / 8L)) {
-        comms += CommRow(p, c.pattern, c.messages, c.bytes / 1048576.0)
-      }
+      val comms = MultiParty.commCosts(sizes, prm.l / 8L)
+        .map(c => CommRow(p, c.pattern, c.messages, c.bytes / 1048576.0))
       comp.unpersist(); parties.foreach(_.unpersist())
+      (link, subsets, comms)
     }
-    Result(links.toSeq, subsets.toSeq, comms.toSeq)
+    Result(perP.map(_._1), perP.flatMap(_._2), perP.flatMap(_._3))
+  }
+
+  /** EXPERIMENTS.md T4's claim shape, as verdicts ([[Fmt.verdicts]]). The
+    * subset-match error budget is wide because one missed edge can split a
+    * cluster that spans all p parties.
+    */
+  def check(r: Result): Seq[String] = Fmt.verdicts {
+    val mb = r.comms.map(c => (c.p, c.pattern) -> c.megabytes).toMap
+    r.links.flatMap(l => Seq(
+      Fmt.claim(s"T4a p=${l.p}", "comparisons", l.comparisons, "<", l.naive / 20,
+                "naive / 20 = "),
+      Fmt.claim(s"T4a p=${l.p}", "F1", l.f1, ">", 0.8))) ++
+    r.subsets.filter(_.truth > 0).map(s => Fmt.claim(s"T4b p=${s.p} m=${s.m}",
+      s"rel err of ${s.estimated} vs ${s.truth}",
+      math.abs(s.estimated - s.truth).toDouble / s.truth, "<", 0.30)) ++
+    r.links.map(_.p).flatMap { p =>
+      val ests = r.subsets.filter(_.p == p).sortBy(_.m).map(_.estimated)
+      Seq((ests.zip(ests.drop(1)).forall { case (a, b) => b <= a },
+            s"T4b p=$p: estimates ${ests.mkString(", ")} rise with m"),
+          Fmt.claim(s"T4c p=$p", "ring MB", mb((p, "ring")), ">=", 0.99 * mb((p, "star/LU")),
+                    "0.99 × star/LU MB "),
+          Fmt.claim(s"T4c p=$p", "tree MB", mb((p, "tree")), "<=", mb((p, "ring")), "ring MB "))
+    } :+
+    Fmt.claim("T4c p=5", "ring MB", mb((5, "ring")), ">", 1.5 * mb((5, "star/LU")),
+              "1.5 × star/LU MB ")
   }
 
   def format(r: Result): String = {

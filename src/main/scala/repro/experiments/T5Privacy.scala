@@ -42,13 +42,12 @@ object T5Privacy {
     // dob in the CLK: disambiguates popular-name entities (and doubles as
     // the salt field in the hardened variant)
     val fields = Seq("fname", "lname", "dob", "city")
-    val ths = (50 to 95 by 5).map(_ / 100.0)
 
     def attackOn(df: DataFrame): Double =
       FrequencyAttack.reidentificationRate(df, "bf", "fname", population)
 
     def f1Of(ea: DataFrame, eb: DataFrame): Double =
-      Classifier.bestF1(Scoring.withDice(cands, ea, eb), truth, ths)._4
+      Classifier.bestF1(Scoring.withDice(cands, ea, eb), truth, T1Quality.Thresholds)._4
 
     // none: plain field BF attacked; plain CLK linked
     val fbfA = Encodings.withFieldBf(a, "fname", p.fieldL, p.fieldK, secret = p.secret)
@@ -64,12 +63,10 @@ object T5Privacy {
     // salt: DOB folded into every token hash
     val saltFbfA = Encodings.withFieldBf(a, "fname", p.fieldL, p.fieldK,
                                          secret = p.secret, saltField = Some("dob"))
-    val saltClkA = Encodings.withClk(a, fields, p.l, p.k, secret = p.secret,
-                                     saltField = Some("dob"))
-    val saltClkB = Encodings.withClk(b, fields, p.l, p.k, secret = p.secret,
-                                     saltField = Some("dob"))
+    def saltClk(df: DataFrame): DataFrame =
+      Encodings.withClk(df, fields, p.l, p.k, secret = p.secret, saltField = Some("dob"))
     val salt = Row("salted (dob)", Double.PositiveInfinity,
-                   attackOn(saltFbfA), f1Of(saltClkA, saltClkB))
+                   attackOn(saltFbfA), f1Of(saltClk(a), saltClk(b)))
 
     // BLIP at two flip rates
     def blipRow(f: Double): Row = {
@@ -83,6 +80,22 @@ object T5Privacy {
 
     cands.unpersist(); truth.unpersist(); a.unpersist(); b.unpersist()
     Seq(none, clkRow, salt, blip2, blip5)
+  }
+
+  /** EXPERIMENTS.md T5's claim shape, as verdicts ([[Fmt.verdicts]]). */
+  def check(rows: Seq[Row]): Seq[String] = Fmt.verdicts {
+    val m = rows.map(r => r.variant -> r).toMap
+    def re(v: String): Double = m(v).reidentRate
+    def f1(v: String): Double = m(v).f1
+    val (none, clk) = ("field-bf (none)", "clk (record-level)")
+    val (b2, b5) = ("blip f=0.02", "blip f=0.05")
+    Seq(Fmt.claim(none, "re-ident", re(none), ">", 0.5),
+        Fmt.claim(clk, "re-ident", re(clk), "<", re(none), s"$none re-ident "),
+        Fmt.claim("salted (dob)", "re-ident", re("salted (dob)"), "<", 0.05),
+        Fmt.claim(b5, "re-ident", re(b5), "<", 0.1),
+        Fmt.claim(none, "F1", f1(none), ">", 0.85),
+        Fmt.claim(b2, "F1", f1(b2), ">", f1(none) - 0.1, s"$none F1 - 0.1 = "),
+        Fmt.claim(b5, "F1", f1(b5), "<=", f1(b2) + 0.02, s"$b2 F1 + 0.02 = "))
   }
 
   def format(rows: Seq[Row]): String =

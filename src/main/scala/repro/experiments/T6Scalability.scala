@@ -51,6 +51,23 @@ object T6Scalability {
     } finally spark.conf.set("spark.sql.shuffle.partitions", before)
   }
 
+  /** EXPERIMENTS.md T6's claim shape, as verdicts ([[Fmt.verdicts]]). Zipf skew
+    * makes popular-name families quadratic: candidates may grow 4× per doubling.
+    */
+  def check(sizeRows: Seq[SizeRow], partRows: Seq[PartRow]): Seq[String] = Fmt.verdicts {
+    val growths = sizeRows.zip(sizeRows.drop(1)).map { case (a, b) =>
+      (s"T6a n=${a.n}→${b.n}", b.candidates.toDouble / a.candidates) }
+    val (first, last) = (sizeRows.head, sizeRows.last)
+    val ms = partRows.map(r => r.partitions -> r.totalMs).toMap
+    sizeRows.map(r => Fmt.claim(s"T6a n=${r.n}", "F1", r.f1, ">", 0.8)) ++
+    growths.map { case (row, g) => Fmt.claim(row, "candidate growth", g, "<", 4.4) } ++
+    Seq((growths.exists(_._2 < 4.0), s"T6a: no candidate growth below 4.0 in $growths"),
+        Fmt.claim(s"T6a n=${first.n}→${last.n}", "total time growth",
+                  last.totalMs.toDouble / first.totalMs, "<", 8.0),
+        Fmt.claim("T6b partitions=16", "total ms", ms(16), "<", ms(1),
+                  "partitions=1 total ms "))
+  }
+
   def format(sizeRows: Seq[SizeRow], partRows: Seq[PartRow]): String = {
     val t1 = Fmt.table("T6a — pipeline scaling with dataset size (per party)",
       Seq("n", "candidates", "matches", "F1", "encode", "block", "score", "classify", "total"),

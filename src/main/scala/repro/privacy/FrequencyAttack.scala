@@ -1,7 +1,6 @@
 package repro.privacy
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import repro.data.Names
 
@@ -30,16 +29,18 @@ object FrequencyAttack {
   }
 
   /** Rank-alignment guesses: most frequent pattern ↦ most frequent value,
-    * and so on. Returns `(pat, guess)`.
+    * and so on, ties broken by pattern and by value. Returns `(pat,
+    * guess)`. Both rankings are collected sorted and zipped on the driver:
+    * a rank is a global order, and there is at most one pattern per record.
     */
   def alignment(encoded: DataFrame, encCol: String, population: DataFrame): DataFrame = {
     val pats = encoded
       .select(hex(col(encCol).cast("binary")) as "pat")
       .groupBy("pat").agg(count("*") as "cnt")
-      .withColumn("rank", row_number().over(Window.orderBy(col("cnt").desc, col("pat"))))
-    val vals = population
-      .withColumn("rank", row_number().over(Window.orderBy(col("weight").desc, col("value"))))
-    pats.join(vals, "rank").select(col("pat"), col("value") as "guess")
+      .orderBy(col("cnt").desc, col("pat")).collect().map(_.getString(0))
+    val vals = population.orderBy(col("weight").desc, col("value"))
+      .select("value").collect().map(_.getString(0))
+    encoded.sparkSession.createDataFrame(pats.zip(vals).toSeq).toDF("pat", "guess")
   }
 
   /** Fraction of records whose true value (`trueCol`) the frequency

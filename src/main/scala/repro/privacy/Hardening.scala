@@ -6,8 +6,8 @@ import repro.core.{BloomFilter, Hashing}
 
 /** Bloom-filter hardening transforms. Salting lives in
   * [[repro.core.Encodings.withClk]] (`saltField`); here are the
-  * post-encoding transforms: BLIP (per-bit randomized response, the
-  * differential-privacy mechanism) and XOR-folding.
+  * post-encoding transform: BLIP (per-bit randomized response, the
+  * differential-privacy mechanism).
   */
 object Hardening {
 
@@ -40,18 +40,5 @@ object Hardening {
       res
     })
     df.withColumn(target, fn(col(bfCol), col(idCol).cast("long")))
-  }
-
-  /** XOR-fold: halve the filter by XOR-ing its two halves — destroys
-    * alignable long bit patterns at a small similarity cost.
-    */
-  def xorFold(df: DataFrame, bfCol: String, out: String = ""): DataFrame = {
-    val target = if (out.isEmpty) bfCol else out
-    val fn = udf((bf: Array[Byte]) => {
-      require(bf.length % 2 == 0, s"cannot fold odd-length filter (${bf.length} bytes)")
-      val half = bf.length / 2
-      Array.tabulate(half)(i => (bf(i) ^ bf(half + i)).toByte)
-    })
-    df.withColumn(target, fn(col(bfCol)))
   }
 }

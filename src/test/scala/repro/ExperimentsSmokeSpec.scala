@@ -2,9 +2,10 @@ package repro
 
 import repro.experiments._
 
-/** Small-scale end-to-end runs of every experiment table — the bench
-  * suites rerun these at full size; here we pin structure and basic shape
-  * at test scale so `sbt test` exercises the whole harness.
+/** Small-scale end-to-end runs of every experiment table. `Run T<k>`
+  * regenerates each at full size and prints its check verdicts; here we pin
+  * structure and basic shape at test scale so `sbt test` exercises the
+  * whole harness (`ChecksSpec` tests the checks themselves).
   */
 class ExperimentsSmokeSpec extends SparkSpec {
 

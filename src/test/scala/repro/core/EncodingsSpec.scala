@@ -57,29 +57,6 @@ class EncodingsSpec extends SparkSpec {
     assert(j.forall(r => r.getAs[Array[Byte]]("s").sameElements(r.getAs[Array[Byte]]("s2"))))
   }
 
-  test("numeric BF: equal values → dice 1, similarity decays with distance") {
-    import spark.implicits._
-    val df = Seq((1L, 100.0), (2L, 100.0), (3L, 102.0), (4L, 104.0), (5L, 150.0))
-      .toDF("rec_id", "v")
-    val enc = Encodings.withNumericBf(df, "v", l = 1024, k = 4, resolution = 1.0,
-                                      neighbours = 5)
-    val bfs = enc.orderBy("rec_id").select("bf").collect().map(_.getAs[Array[Byte]](0))
-    val d100 = BloomFilter.dice(bfs(0), bfs(1))
-    val d102 = BloomFilter.dice(bfs(0), bfs(2))
-    val d104 = BloomFilter.dice(bfs(0), bfs(3))
-    val d150 = BloomFilter.dice(bfs(0), bfs(4))
-    assert(d100 == 1.0)
-    assert(d102 > d104, s"$d102 <= $d104")
-    assert(d104 > d150)
-    assert(d150 < 0.15) // far values share no tokens; residual is hash noise
-  }
-  test("numeric BF rejects non-positive resolution") {
-    import spark.implicits._
-    val df = Seq((1L, 1.0)).toDF("rec_id", "v")
-    assertThrows[IllegalArgumentException](
-      Encodings.withNumericBf(df, "v", resolution = 0.0))
-  }
-
   test("slk581 known construction") {
     // surname 'martinez' -> a,r,i ; first 'jennifer' -> e,n
     assert(Encodings.slk581("jennifer", "martinez", "19800101", "f") ==

@@ -59,17 +59,21 @@ class FrequencyAttackSpec extends SparkSpec {
   }
   test("oracle: pattern frequency ranking matches DuckDB") {
     import spark.implicits._
-    val enc = (Seq.fill(4)("p1") ++ Seq.fill(2)("p2") ++ Seq("p3")).zipWithIndex
+    // ties in pattern count (p2/p3, p4/p5/p6) and in value weight
+    // (zoe/amy, cal/dan); six patterns against five values
+    val enc = (Seq.fill(3)("p1") ++ Seq.fill(2)("p3") ++ Seq.fill(2)("p2") ++
+               Seq("p6", "p4", "p5")).zipWithIndex
       .map { case (p, i) => (i.toLong, p) }.toDF("rec_id", "enc")
-    val pats = enc.select(hex(col("enc").cast("binary")) as "pat")
-      .groupBy("pat").agg(count("*") as "cnt")
-      .withColumn("rank", row_number().over(
-        org.apache.spark.sql.expressions.Window.orderBy(col("cnt").desc, col("pat"))))
-      .select(col("pat"), col("cnt").cast("long") as "cnt", col("rank").cast("long") as "rank")
-    Oracle.assertEquivalent(pats,
-      """SELECT upper(hex(enc)) AS pat, COUNT(*) AS cnt,
-        |       ROW_NUMBER() OVER (ORDER BY COUNT(*) DESC, upper(hex(enc))) AS rank
-        |FROM enc GROUP BY upper(hex(enc))""".stripMargin,
-      "enc" -> enc.select("enc"))
+    val pop = Seq(("zoe", 0.3), ("amy", 0.3), ("bob", 0.2), ("dan", 0.1), ("cal", 0.1))
+      .toDF("value", "weight")
+    Oracle.assertEquivalent(FrequencyAttack.alignment(enc, "enc", pop),
+      """WITH p AS (SELECT upper(hex(enc)) AS pat,
+        |                  ROW_NUMBER() OVER (ORDER BY COUNT(*) DESC, upper(hex(enc))) AS r
+        |           FROM enc GROUP BY upper(hex(enc))),
+        |     v AS (SELECT value,
+        |                  ROW_NUMBER() OVER (ORDER BY CAST(weight AS DOUBLE) DESC, value) AS r
+        |           FROM pop)
+        |SELECT p.pat AS pat, v.value AS guess FROM p JOIN v USING (r)""".stripMargin,
+      "enc" -> enc.select("enc"), "pop" -> pop)
   }
 }

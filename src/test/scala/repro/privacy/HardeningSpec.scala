@@ -75,18 +75,4 @@ class HardeningSpec extends SparkSpec {
     assert(d0 > d2 && d2 > d10, s"$d0, $d2, $d10")
     assert(d0 == 1.0)
   }
-  test("xorFold halves the filter") {
-    val out = Hardening.xorFold(encoded(10), "bf")
-    assert(out.select("bf").collect().forall(_.getAs[Array[Byte]](0).length == 16))
-  }
-  test("xorFold is deterministic and xor-correct") {
-    val df = encoded(10)
-    val rows = df.select(col("bf")).collect().map(_.getAs[Array[Byte]](0))
-    val folded = Hardening.xorFold(df, "bf").select("bf").collect()
-      .map(_.getAs[Array[Byte]](0))
-    rows.zip(folded).foreach { case (orig, f) =>
-      val expected = Array.tabulate(16)(i => (orig(i) ^ orig(16 + i)).toByte)
-      assert(f.sameElements(expected))
-    }
-  }
 }
