@@ -7,9 +7,10 @@ import repro.data.PersonGen
 import repro.matching.{Classifier, Clustering, MultiParty}
 
 /** T4 — multi-party linkage (yet-to-come axis): p ∈ {3, 5} parties, CLK
-  * encodings, pairwise Hamming-LSH blocking, connected-components
-  * clustering, subset matching (entities in ≥ m of p parties), and the
-  * analytic communication-pattern costs.
+  * encodings, one party-tagged Hamming-LSH join + one Dice scoring join
+  * over all party pairs, connected-components clustering, subset matching
+  * (entities in ≥ m of p parties), and the analytic communication-pattern
+  * costs.
   */
 object T4MultiParty {
 
@@ -35,9 +36,8 @@ object T4MultiParty {
           prm: Params = Params()): Result = {
     val perP = ps.map { p =>
       val t0 = System.nanoTime()
-      val raw = PersonGen.parties(spark, p, prm.universe, prm.inclusionProb,
-                                  prm.corruption, maxEdits = 2, seed = prm.seed)
-      val parties = raw.map(df =>
+      val parties = PersonGen.parties(spark, p, prm.universe, prm.inclusionProb,
+                                      prm.corruption, maxEdits = 2, seed = prm.seed).map(df =>
         // dob included: popular-name collisions would otherwise merge clusters
         Encodings.withClk(df, Seq("fname", "lname", "dob", "city"), prm.l, prm.k,
                           secret = prm.secret)
@@ -51,21 +51,17 @@ object T4MultiParty {
 
       // pairwise cluster quality vs ground-truth cross-party pairs
       val predPairs = Clustering.clusterPairs(comp)
-      val truthPairs = (for {
-        i <- parties.indices; j <- parties.indices if i < j
-      } yield PersonGen.truthPairs(parties(i), parties(j)))
-        .reduce(_ unionByName _)
+      val all = parties.reduce(_ unionByName _)
+      val truthPairs = PersonGen.truthPairs(all, all)
+        .where(MultiParty.party(col("id_a")) < MultiParty.party(col("id_b")))
       val (prec, rec, f1) = Classifier.prf(predPairs, truthPairs)
       val ms = (System.nanoTime() - t0) / 1000000L
       val link = LinkRow(p, comparisons, MultiParty.naiveComparisons(sizes),
                          nClusters, prec, rec, f1, ms)
 
       // subset matching: estimated (clusters spanning >= m parties) vs truth
-      val membership = raw.zipWithIndex.map { case (df, i) =>
-        df.select(col("ent_id"), lit(i + 1) as "party")
-      }.reduce(_ unionByName _)
-      val truthCounts = membership.groupBy("ent_id")
-        .agg(countDistinct("party") as "parties").persist()
+      val truthCounts = all.groupBy("ent_id")
+        .agg(countDistinct(MultiParty.party(col("rec_id"))) as "parties").persist()
       val subsets = (2 to p).map(m => SubsetRow(p, m, MultiParty.subsetMatchCount(comp, m),
                                                 truthCounts.where(col("parties") >= m).count()))
       truthCounts.unpersist()

@@ -35,20 +35,25 @@ object T6Scalability {
               res.millis("classify"), res.totalMillis)
     }
 
+  /** Median total time of 5 runs per partition count, taken interleaved
+    * (1, 4, 16, 16, 4, 1, …) so host drift hits every count alike.
+    */
   def runPartitions(spark: SparkSession, n: Long = 20000,
                     partitions: Seq[Int] = Seq(1, 4, 16),
                     prm: Params = Params()): Seq[PartRow] = {
     val before = spark.conf.get("spark.sql.shuffle.partitions")
-    try {
-      partitions.map { parts =>
+    val order = (0 until 5).flatMap(r => if (r % 2 == 0) partitions else partitions.reverse)
+    val ms = try {
+      order.map { parts =>
         spark.conf.set("spark.sql.shuffle.partitions", parts.toString)
         val (a0, b0) = PersonGen.pair(spark, n, n, (n * prm.overlapFrac).toLong,
                                       prm.corruption, maxEdits = 2, seed = prm.seed)
         val res = Pipeline.run(a0.repartition(parts), b0.repartition(parts), prm.cfg)
         res.matches.unpersist()
-        PartRow(n, parts, res.totalMillis)
+        parts -> res.totalMillis
       }
     } finally spark.conf.set("spark.sql.shuffle.partitions", before)
+    partitions.map(p => PartRow(n, p, ms.collect { case (`p`, t) => t }.sorted.apply(2)))
   }
 
   /** EXPERIMENTS.md T6's claim shape, as verdicts ([[Fmt.verdicts]]). Zipf skew

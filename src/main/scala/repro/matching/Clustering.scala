@@ -20,7 +20,6 @@ object Clustering {
     * if labels still change after `maxIter` rounds.
     */
   def connectedComponents(edges: DataFrame, maxIter: Int = 20): DataFrame = {
-    val spark = edges.sparkSession
     val sym = edges.select(col("id_a") as "src", col("id_b") as "dst")
       .union(edges.select(col("id_b") as "src", col("id_a") as "dst"))
       .distinct().localCheckpoint()
@@ -34,20 +33,20 @@ object Clustering {
       // component proposals flowing along edges
       val prop = sym.join(comp.withColumnRenamed("id", "src"), "src")
         .groupBy(col("dst") as "id").agg(min("comp") as "ncomp")
+      // `old` rides along, so the round's changes are counted without a re-join
       val stepped = comp.join(prop, Seq("id"), "left")
-        .select(col("id"),
+        .select(col("id"), col("comp") as "old",
                 least(col("comp"), coalesce(col("ncomp"), col("comp"))) as "comp")
       // pointer jumping: comp ← comp(comp), so labels race down chains in
       // O(log diameter) rounds instead of one hop per round
       val ptr = stepped.select(col("id") as "cid", col("comp") as "ccomp")
       val next = stepped.join(ptr, stepped("comp") === ptr("cid"), "left")
-        .select(stepped("id") as "id",
+        .select(stepped("id") as "id", stepped("old") as "old",
                 least(stepped("comp"),
                       coalesce(col("ccomp"), stepped("comp"))) as "comp")
         .localCheckpoint()
-      changed = next.join(comp.withColumnRenamed("comp", "old"), "id")
-        .where(col("comp") =!= col("old")).count()
-      comp = next
+      changed = next.where(col("comp") =!= col("old")).count()
+      comp = next.select("id", "comp")
       iter += 1
     }
     if (changed > 0)

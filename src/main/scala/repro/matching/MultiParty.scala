@@ -1,53 +1,61 @@
 package repro.matching
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
-import repro.blocking.HammingLsh
+import repro.blocking.{Candidates, HammingLsh}
 
-/** Multi-party PPRL (p > 2 databases): pairwise private blocking +
-  * matching between every party pair, connected-components clustering,
+/** Multi-party PPRL (p > 2 databases): private blocking + matching across
+  * every party pair in one dataflow, connected-components clustering,
   * subset matching (entities in ≥ m of p parties), and the analytic
   * communication-pattern cost model for the "advanced communication
   * patterns" axis.
   *
   * Party identity is recoverable from `rec_id` (= partyTag·10^9 + ent_id,
-  * see [[repro.data.PersonGen]]), which clustering uses to count distinct
-  * parties per cluster without ever touching `ent_id`.
+  * see [[repro.data.PersonGen]]) through [[party]], which pairs records
+  * across parties and counts distinct parties per cluster without ever
+  * touching `ent_id`.
   */
 object MultiParty {
 
-  /** Match edges across all C(p,2) party pairs: Hamming-LSH candidates on
-    * the shared `bfCol`, Dice-scored, kept at `threshold`. Also returns
-    * the total number of scored comparisons.
+  /** Party tag of a `rec_id` column: `rec_id / 10^9`. */
+  def party(id: Column): Column = (id / 1000000000L).cast("long")
+
+  /** Match edges across all C(p,2) party pairs in one dataflow: the union
+    * of the parties' `(rec_id, bfCol)` is keyed once on one set of
+    * Hamming-LSH positions, one bucket join keeps the pairs with
+    * `party(id_a) < party(id_b)`, and one Dice join keeps those at
+    * `threshold`. Also returns the number of scored comparisons.
+    *
+    * Contract: all `rec_id`s of a party carry one [[party]] tag, and no
+    * other party carries it; else `IllegalArgumentException` names the party.
     */
   def pairwiseEdges(parties: Seq[DataFrame], bfCol: String, l: Int,
                     tables: Int, bitsPerTable: Int, threshold: Double,
                     seed: Long = 7L): (DataFrame, Long) = {
     require(parties.size >= 2, "multi-party linkage needs >= 2 parties")
-    val positions = HammingLsh.samplePositions(l, tables, bitsPerTable, seed)
-    var comparisons = 0L
-    val edges = (for {
-      i <- parties.indices
-      j <- parties.indices if i < j
-    } yield {
-      val cands = HammingLsh.candidatesWithPositions(parties(i), parties(j), bfCol, positions)
-      comparisons += cands.count()
-      Scoring.withDice(cands, parties(i), parties(j), bfCol)
-        .where(col("sim") >= threshold)
-        .select("id_a", "id_b")
-    }).reduce(_ unionByName _)
-    (edges, comparisons)
+    val tags = parties.zipWithIndex
+      .map { case (df, i) => df.select(lit(i) as "idx", party(col("rec_id")) as "tag") }
+      .reduce(_ unionByName _).groupBy("idx").agg(min("tag"), max("tag")).collect()
+      .map(r => (r.getInt(0), r.getLong(1), r.getLong(2))).sortBy(_._1)
+    for ((i, lo, hi) <- tags) {
+      require(lo == hi, s"party $i carries party tags $lo to $hi in its rec_ids, not one")
+      val earlier = tags.collectFirst { case (j, t, _) if j < i && t == lo => j }
+      require(earlier.isEmpty, s"party $i shares party tag $lo with party ${earlier.get}")
+    }
+    val all = parties.map(_.select("rec_id", bfCol)).reduce(_ unionByName _)
+    val keys = HammingLsh.keys(all, bfCol, HammingLsh.samplePositions(l, tables, bitsPerTable, seed))
+    val cands = Candidates.fromKeys(keys, keys).where(party(col("id_a")) < party(col("id_b")))
+    val edges = Scoring.withDice(cands, all, all, bfCol).where(col("sim") >= threshold)
+    (edges.select("id_a", "id_b"), cands.count())
   }
 
   /** Entity clusters from match edges (connected components). */
   def clusters(edges: DataFrame, maxIter: Int = 20): DataFrame =
     Clustering.connectedComponents(edges, maxIter)
 
-  /** Number of distinct parties represented in each cluster:
-    * `(comp, parties, records)`.
-    */
+  /** Distinct parties and records per cluster: `(comp, parties, records)`. */
   def clusterPartyCounts(comp: DataFrame): DataFrame =
-    comp.withColumn("party", (col("id") / 1000000000L).cast("long"))
+    comp.withColumn("party", party(col("id")))
       .groupBy("comp")
       .agg(countDistinct("party") as "parties", count("*") as "records")
 
@@ -59,8 +67,7 @@ object MultiParty {
 
   /** Naive comparison count Σ_{i<j} n_i·n_j the blocking is saving over. */
   def naiveComparisons(sizes: Seq[Long]): Long =
-    (for { i <- sizes.indices; j <- sizes.indices if i < j }
-      yield sizes(i) * sizes(j)).sum
+    (sizes.sum * sizes.sum - sizes.map(n => n * n).sum) / 2
 
   /** One communication pattern's cost: protocol messages and bytes moved. */
   case class CommCost(pattern: String, messages: Long, bytes: Long)
@@ -83,16 +90,12 @@ object MultiParty {
     val ring = CommCost("ring", (p - 1).toLong, ringBytes)
 
     // tree: pair up, odd one out waits; senders ship accumulated sizes
-    var level = sizes.map(_ * recordBytes)
-    var treeBytes = 0L
-    var treeMsgs = 0L
-    while (level.size > 1) {
-      val next = level.grouped(2).map {
-        case Seq(x, y) => treeBytes += y; treeMsgs += 1; x + y
-        case Seq(x)    => x
-      }.toSeq
-      level = next
-    }
-    Seq(star, ring, CommCost("tree", treeMsgs, treeBytes))
+    def tree(level: Seq[Long], msgs: Long, bytes: Long): CommCost =
+      if (level.size <= 1) CommCost("tree", msgs, bytes)
+      else {
+        val sent = level.grouped(2).collect { case Seq(_, y) => y }.toSeq
+        tree(level.grouped(2).map(_.sum).toSeq, msgs + sent.size, bytes + sent.sum)
+      }
+    Seq(star, ring, tree(sizes.map(_ * recordBytes), 0L, 0L))
   }
 }

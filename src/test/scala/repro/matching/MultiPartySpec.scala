@@ -1,8 +1,10 @@
 package repro.matching
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
-import repro.core.Encodings
+import repro.blocking.HammingLsh
+import repro.core.{BloomFilter, Encodings}
 import repro.data.PersonGen
 
 class MultiPartySpec extends SparkSpec {
@@ -18,15 +20,59 @@ class MultiPartySpec extends SparkSpec {
     val parties = encodedParties(3, 300, 0.0).map(_.persist())
     val (edges, comparisons) = MultiParty.pairwiseEdges(
       parties, "bf", 512, tables = 15, bitsPerTable = 14, threshold = 0.9)
-    val truth = (for {
-      i <- parties.indices; j <- parties.indices if i < j
-    } yield PersonGen.truthPairs(parties(i), parties(j))).reduce(_ unionByName _)
+    val all = parties.reduce(_ unionByName _)
+    val truth = PersonGen.truthPairs(all, all)
+      .where(MultiParty.party(col("id_a")) < MultiParty.party(col("id_b")))
     val (p, r, f1) = Classifier.prf(edges, truth)
     assert(comparisons > 0)
     assert(r > 0.98, s"recall $r")
     assert(p > 0.95, s"precision $p")
     assert(f1 > 0.97)
     parties.foreach(_.unpersist())
+  }
+  test("oracle: pairwiseEdges equals per-pair LSH candidates at the reference Dice") {
+    val parties = encodedParties(4, 250, 0.2).map(_.persist())
+    val (l, tables, bits, t, seed) = (512, 15, 14, 0.8, 5L)
+    val positions = HammingLsh.samplePositions(l, tables, bits, seed)
+    val perPair = for (i <- parties.indices; j <- parties.indices if i < j)
+      yield HammingLsh.candidatesWithPositions(parties(i), parties(j), "bf", positions)
+        .as[(Long, Long)].collect().toSeq
+    val bf = parties.flatMap(_.select("rec_id", "bf").as[(Long, Array[Byte])].collect()).toMap
+    val expected = perPair.flatten.filter { case (a, b) => BloomFilter.dice(bf(a), bf(b)) >= t }
+    val (edges, comparisons) = MultiParty.pairwiseEdges(parties, "bf", l, tables, bits, t, seed)
+    assert(comparisons == perPair.map(_.size).sum)
+    val got = edges.as[(Long, Long)].collect().toSeq
+    assert(got.sorted == expected.sorted)
+    assert(expected.nonEmpty && expected.size < comparisons, s"${expected.size} of $comparisons")
+    parties.foreach(_.unpersist())
+  }
+  test("cluster pairs do not depend on partitioning, row order or party order") {
+    val parties = encodedParties(3, 200, 0.2).map(_.persist())
+    def linked(ps: Seq[DataFrame]): (Long, Set[(Long, Long)]) = {
+      val (edges, comparisons) = MultiParty.pairwiseEdges(ps, "bf", 512, 15, 14, 0.8)
+      (comparisons, Clustering.clusterPairs(MultiParty.clusters(edges)).as[(Long, Long)]
+        .collect().toSet)
+    }
+    val reference = linked(parties)
+    assert(reference._2.nonEmpty)
+    for (parts <- Seq(1, 4, 16)) {
+      val shuffled = parties.reverse.map(_.orderBy(rand(parts)).repartition(parts))
+      assert(linked(shuffled) == reference, s"$parts partitions")
+    }
+    parties.foreach(_.unpersist())
+  }
+  test("pairwiseEdges rejects parties that do not carry one party tag each") {
+    def enc(df: DataFrame) =
+      Encodings.withClk(df, Seq("fname", "lname"), l = 512, k = 15, secret = "mp")
+        .select("rec_id", "bf")
+    def edges(ps: DataFrame*) = MultiParty.pairwiseEdges(ps.map(enc), "bf", 512, 15, 14, 0.9)
+    val (a, b) = (PersonGen.database(spark, 1, 0L, 50L), PersonGen.database(spark, 2, 0L, 50L))
+    val shared = intercept[IllegalArgumentException](
+      edges(b, a, PersonGen.database(spark, 1, 50L, 100L)))
+    assert(shared.getMessage.contains("party 2 shares party tag 1 with party 1"))
+    val mixed = intercept[IllegalArgumentException](
+      edges(a, b.union(PersonGen.database(spark, 3, 0L, 10L))))
+    assert(mixed.getMessage.contains("party 1 carries party tags 2 to 3"))
   }
   test("clusters group one entity across parties") {
     val parties = encodedParties(3, 200, 0.0).map(_.persist())
